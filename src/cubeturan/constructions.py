@@ -14,22 +14,14 @@ from .core import (
     STAR,
     StarVector,
     Subgraph,
-    check_dimension,
-    expand_edges,
+    edge_endpoints,
+    expand_vertices,
     full_cube,
     iter_star_vectors,
+    subgraph_where,
 )
 from .counting import CycleWitness, binomial_residue_sum, find_cycle
 from .errors import BadRange, CycleDoesNotFit
-
-
-def _ones(s: str) -> int:
-    return s.count("1")
-
-
-def _edge_split(key: str) -> tuple[str, str]:
-    p = key.index(STAR)
-    return key[:p], key[p + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +35,8 @@ def layer_union_mod(n: int, k: int, j: int, complement: bool = False) -> Subgrap
     """
     if k < 1 or not 0 <= j < k:
         raise BadRange(f"need k >= 1 and 0 <= j < k, got k={k}, j={j}")
-    cube = full_cube(n)
-    want = (lambda key: _ones(key) % k != j) if complement else (lambda key: _ones(key) % k == j)
     name = f"layer-mod(n={n},k={k},j={j},complement={complement})"
-    return Subgraph(n, frozenset(e for e in cube.edges if want(e)), name)
+    return subgraph_where(n, lambda v, p: (v.bit_count() % k == j) != complement, name)
 
 
 def layer_complement(n: int, k: int, i: int) -> Subgraph:
@@ -69,12 +59,16 @@ def even_odd_layers(n: int, j: int) -> Subgraph:
 # ---------------------------------------------------------------------------
 # deletion graphs driven by prefix/suffix residues
 
+def _residue_hit(v: int, p: int, lo: int, hi: int, i: int, j: int) -> bool:
+    """For the edge with lower endpoint v and star position p, whose prefix is
+    bits 0..p-1 of v: ones(prefix) = i mod lo and ones(suffix) = j mod hi."""
+    return (v & ((1 << p) - 1)).bit_count() % lo == i and (v >> (p + 1)).bit_count() % hi == j
+
+
 def aks_deletes(key: str, k: int, i: int, j: int) -> bool:
     """Deletion predicate: ones(prefix) = i mod floor((k+1)/2) and
     ones(suffix) = j mod ceil((k+1)/2)."""
-    lo, hi = (k + 1) // 2, (k + 2) // 2
-    left, right = _edge_split(key)
-    return _ones(left) % lo == i and _ones(right) % hi == j
+    return _residue_hit(edge_endpoints(key)[0], key.index(STAR), (k + 1) // 2, (k + 2) // 2, i, j)
 
 
 def aks_graph(n: int, k: int, i: int, j: int) -> Subgraph:
@@ -88,25 +82,22 @@ def aks_graph(n: int, k: int, i: int, j: int) -> Subgraph:
         raise BadRange(f"need k >= 2, got {k}")
     if not 0 <= i < lo or not 0 <= j < hi:
         raise BadRange(f"need 0 <= i < {lo} and 0 <= j < {hi}, got i={i}, j={j}")
-    cube = full_cube(n)
-    keep = frozenset(e for e in cube.edges if not aks_deletes(e, k, i, j))
-    return Subgraph(n, keep, f"aks(n={n},k={k},i={i},j={j})")
+    return subgraph_where(n, lambda v, p: not _residue_hit(v, p, lo, hi, i, j),
+                          f"aks(n={n},k={k},i={i},j={j})")
 
 
 def aks_appendix_deletes(key: str, k: int) -> bool:
     """Variant predicate with both residues 0 and moduli floor/ceil((k-1)/2)."""
-    lo, hi = (k - 1) // 2, k // 2
-    left, right = _edge_split(key)
-    return _ones(left) % lo == 0 and _ones(right) % hi == 0
+    return _residue_hit(edge_endpoints(key)[0], key.index(STAR), (k - 1) // 2, k // 2, 0, 0)
 
 
 def aks_appendix_graph(n: int, k: int) -> Subgraph:
     """Single-graph variant of the residue deletion; Q_k-free for k >= 3."""
     if k < 3:
         raise BadRange(f"need k >= 3 (positive moduli), got {k}")
-    cube = full_cube(n)
-    keep = frozenset(e for e in cube.edges if not aks_appendix_deletes(e, k))
-    return Subgraph(n, keep, f"aks-appendix(n={n},k={k})")
+    lo, hi = (k - 1) // 2, k // 2
+    return subgraph_where(n, lambda v, p: not _residue_hit(v, p, lo, hi, 0, 0),
+                          f"aks-appendix(n={n},k={k})")
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +124,17 @@ def parity_q2_selection(n: int) -> list[StarVector]:
 
 def parity_q2_packing(n: int) -> Subgraph:
     """Union of the parity-selected Q_2's; the selection is edge-disjoint and
-    the union is C_6-free."""
-    edges = set()
-    for sv in parity_q2_selection(n):
-        edges.update(e.cells for e in expand_edges(sv))
-    return Subgraph(n, frozenset(edges), f"parity-q2(n={n})")
+    the union is C_6-free. The edge (v, p) lies in the one with stars s = p & ~1
+    and s+1, if s+1 < n, iff v has even weight both before s and after s+1."""
+    if n < 3:
+        raise BadRange(f"need n >= 3, got {n}")
+
+    def keep(v: int, p: int) -> bool:
+        s = p & ~1
+        return s + 1 < n and (v & ((1 << s) - 1)).bit_count() % 2 == 0 \
+            and (v >> (s + 2)).bit_count() % 2 == 0
+
+    return subgraph_where(n, keep, f"parity-q2(n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +143,10 @@ def parity_q2_packing(n: int) -> Subgraph:
 def conder_graph(n: int) -> Subgraph:
     """Edges with ones(prefix) - ones(suffix) = 0 mod 3 (Conder's 3-coloring
     class); C_6-free."""
-    check_dimension(n)
-    cube = full_cube(n)
-    keep = frozenset(
-        e for e in cube.edges
-        if (_ones(_edge_split(e)[0]) - _ones(_edge_split(e)[1])) % 3 == 0
-    )
-    return Subgraph(n, keep, f"conder(n={n})")
+    return subgraph_where(
+        n,
+        lambda v, p: ((v & ((1 << p) - 1)).bit_count() - (v >> (p + 1)).bit_count()) % 3 == 0,
+        f"conder(n={n})")
 
 
 def _mod3_targets(ell: int) -> tuple[int, ...]:
@@ -163,15 +157,11 @@ def _mod3_targets(ell: int) -> tuple[int, ...]:
     return (0,) + (1,) * (ell - 1) + (0,)
 
 
-def _segments(sv: StarVector) -> list[str]:
-    return sv.cells.split(STAR)
-
-
 def mod3_selected(sv: StarVector) -> bool:
     """Does this Q_l name satisfy the segment residue pattern?"""
     targets = _mod3_targets(sv.k)
-    segs = _segments(sv)
-    return all(_ones(s) % 3 == t for s, t in zip(segs, targets))
+    segs = sv.cells.split(STAR)
+    return all(s.count("1") % 3 == t for s, t in zip(segs, targets))
 
 
 def mod3_ql_selection(n: int, ell: int) -> list[StarVector]:
@@ -246,19 +236,11 @@ def conder_cycle_family(n: int, ell: int) -> CycleFamily:
     members = []
     union: set[str] = set()
     for sv in mod3_ql_selection(n, ell):
-        base = sum(1 << i for i, c in enumerate(sv.cells) if c == "1")
-        stars = sv.star_positions
-        vertices = []
-        for mask in rows:
-            v = base
-            for idx in range(ell):
-                if mask >> idx & 1:
-                    v |= 1 << stars[idx]
-            vertices.append(v)
-        witness = CycleWitness.from_vertices(n, vertices)
+        corners = expand_vertices(sv)  # indexed by fill, as the row masks are
+        witness = CycleWitness.from_vertices(n, [corners[mask] for mask in rows])
         members.append((sv, witness))
         union.update(witness.edge_keys())
-    graph = Subgraph(n, frozenset(union), f"conder-cycles(n={n},l={ell})")
+    graph = Subgraph(n, union, f"conder-cycles(n={n},l={ell})")
     return CycleFamily(n, ell, tuple(members), graph)
 
 
@@ -277,9 +259,7 @@ def disjoint_qm_packing(n: int, m: int, with_cycles: bool = False,
     if not 1 <= m <= n:
         raise BadRange(f"need 1 <= m <= n, got m={m}, n={n}")
     if not with_cycles:
-        cube = full_cube(n)
-        keep = frozenset(e for e in cube.edges if e.index(STAR) < m)
-        return Subgraph(n, keep, f"qm-packing(n={n},m={m})")
+        return subgraph_where(n, lambda v, p: p < m, f"qm-packing(n={n},m={m})")
     if ell is None or ell < 2:
         raise BadRange(f"with_cycles needs l >= 2, got {ell}")
     if 2 * ell > 1 << m:
@@ -287,14 +267,10 @@ def disjoint_qm_packing(n: int, m: int, with_cycles: bool = False,
     witness, _ = find_cycle(full_cube(m), 2 * ell)
     if witness is None:  # cannot happen: Q_m hosts all even lengths up to 2^m
         raise CycleDoesNotFit(f"no C_{2 * ell} found in Q_{m}")
-    edges = set()
-    for fill in range(1 << (n - m)):
-        offset = fill << m
-        shifted = CycleWitness.from_vertices(
-            n, [v | offset for v in witness.vertices]
-        )
-        edges.update(shifted.edge_keys())
-    return Subgraph(n, frozenset(edges), f"qm-packing(n={n},m={m},c{2 * ell})")
+    cycle = Subgraph(m, witness.edge_keys()).masks  # the same cycle in every copy
+    low = (1 << m) - 1
+    return subgraph_where(n, lambda v, p: p < m and cycle.get(v & low, 0) >> p & 1,
+                          f"qm-packing(n={n},m={m},c{2 * ell})")
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +311,13 @@ class ConstructionSpec:
         if kind == "conder":
             return conder_graph(self._p("n"))
         if kind == "mod3-select":
-            edges = set()
+            masks: dict[int, int] = {}
             for sv in mod3_ql_selection(self._p("n"), self._p("l")):
-                edges.update(e.cells for e in expand_edges(sv))
-            return Subgraph(self._p("n"), frozenset(edges),
-                            f"mod3-select(n={self._p('n')},l={self._p('l')})")
+                stars = sum(1 << p for p in sv.star_positions)
+                for v in expand_vertices(sv):
+                    masks[v] = masks.get(v, 0) | stars
+            return Subgraph(self._p("n"), name=f"mod3-select(n={self._p('n')},l={self._p('l')})",
+                            masks=masks)
         if kind == "conder-cycles":
             return conder_cycle_family(self._p("n"), self._p("l")).union_graph
         if kind == "qm-packing":

@@ -5,16 +5,20 @@ Conventions (used everywhere in the package):
 * positions are 0-based and read left to right, so ``cells[i]`` is position i;
 * a vertex is a plain int whose bit i is the value at position i (position 0
   is the least significant bit);
-* an edge is identified by its star string, e.g. ``01*10`` — the canonical
-  edge key used in sets and files;
-* subgraphs are edge sets on the full vertex set of Q_n and are immutable.
+* a subgraph is immutable and held as a sparse map from vertex to direction
+  mask: bit p of ``masks[v]`` is set iff the edge {v, v ^ (1 << p)} is in it,
+  and edgeless vertices have no entry. A Q_k with base b and star mask S is
+  in it iff ``masks[b | s] & S == S`` for every s within S;
+* star strings such as ``01*10`` (the edge joining 01010 and 01110) appear
+  only at the boundary: files, ``Subgraph(n, edges)``, ``Subgraph.edges``
+  and witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadChar,
@@ -81,7 +85,7 @@ def parse_star_vector(text: str, n: int) -> StarVector:
 
 def vertex_to_bits(v: int, n: int) -> str:
     """Format a vertex int as its position-ordered bit string."""
-    return "".join("1" if v >> i & 1 else "0" for i in range(n))
+    return format(v, f"0{n}b")[::-1]
 
 
 def bits_to_vertex(bits: str) -> int:
@@ -98,31 +102,16 @@ def expand_vertices(sv: StarVector) -> list[int]:
     """All 2^k vertices of the subcube, as ints, in increasing fill order."""
     base = sum(1 << i for i, c in enumerate(sv.cells) if c == "1")
     stars = sv.star_positions
-    out = []
-    for fill in range(1 << len(stars)):
-        v = base
-        for j, p in enumerate(stars):
-            if fill >> j & 1:
-                v |= 1 << p
-        out.append(v)
-    return out
+    return [base | sum(1 << p for j, p in enumerate(stars) if fill >> j & 1)
+            for fill in range(1 << len(stars))]
 
 
 def expand_edges(sv: StarVector) -> list[StarVector]:
     """All k*2^(k-1) edges of the subcube, each a one-star vector."""
     if sv.k == 0:
         raise NoStars(f"{sv.cells!r} has no stars to expand")
-    stars = sv.star_positions
-    cells = list(sv.cells)
-    out = []
-    for e in stars:
-        rest = [p for p in stars if p != e]
-        for fill in range(1 << len(rest)):
-            w = cells[:]
-            for j, p in enumerate(rest):
-                w[p] = "01"[fill >> j & 1]
-            out.append(StarVector(sv.n, "".join(w)))
-    return out
+    return [StarVector(sv.n, edge_key_from_endpoints(v, v | 1 << p, sv.n))
+            for p in sv.star_positions for v in expand_vertices(sv) if not v >> p & 1]
 
 
 def edge_star_position(edge: StarVector | str) -> int:
@@ -160,56 +149,114 @@ def _validate_edge_key(key: str, n: int) -> None:
         raise BadLength(f"edge {key!r} has length {len(key)}, expected {n}")
     if key.count(STAR) != 1:
         raise BadRange(f"edge {key!r} must contain exactly one star")
-    bad = set(key) - ALPHABET
-    if bad:
-        raise BadChar(f"invalid characters {sorted(bad)} in {key!r}")
+    if not ALPHABET.issuperset(key):
+        raise BadChar(f"invalid characters {sorted(set(key) - ALPHABET)} in {key!r}")
 
 
-@dataclass(frozen=True)
+def _add_edge(masks: dict[int, int], key: str) -> bool:
+    """Set a validated edge's bit at both endpoints; False if it was already set."""
+    bit = 1 << key.index(STAR)
+    u = int(key[::-1].replace(STAR, "0"), 2)
+    if masks.get(u, 0) & bit:
+        return False
+    masks[u] = masks.get(u, 0) | bit
+    masks[u | bit] = masks.get(u | bit, 0) | bit
+    return True
+
+
 class Subgraph:
-    """An immutable edge set on the full vertex set of Q_n."""
+    """An immutable edge set on Q_n's full vertex set. `edges` (star strings) are
+    validated; `masks` (a dict by vertex or a list indexed by vertex, symmetric
+    as the package builds them) are taken as given. Equality ignores the name."""
 
-    n: int
-    edges: frozenset[str]
-    name: str | None = field(default=None, compare=False)
+    def __init__(self, n: int, edges: Iterable[str] = (), name: str | None = None, *, masks=None):
+        check_dimension(n)
+        if masks is None:
+            masks = {}
+            for key in edges:
+                _validate_edge_key(key, n)
+                _add_edge(masks, key)
+        items = masks.items() if isinstance(masks, dict) else enumerate(masks)
+        masks = {v: m for v, m in items if m}
+        for attr, value in (("n", n), ("masks", masks), ("name", name), ("_edges", None),
+                            ("edge_count", sum(m.bit_count() for m in masks.values()) // 2)):
+            object.__setattr__(self, attr, value)
 
-    def __post_init__(self):
-        check_dimension(self.n)
-        for key in self.edges:
-            _validate_edge_key(key, self.n)
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"Subgraph is immutable; cannot set {attr!r}")
+
+    def __eq__(self, other):
+        return isinstance(other, Subgraph) and self.n == other.n and self.masks == other.masks
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.masks.items())))
+
+    def __repr__(self):
+        return f"Subgraph(n={self.n}, edge_count={self.edge_count}, name={self.name!r})"
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[str]:
+        """The edges as star strings, built on first use."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(self._edge_keys()))
+        return self._edges
+
+    def _edge_keys(self) -> Iterator[str]:
+        for v, m in self.masks.items():
+            up = m & ~v
+            if up:
+                bits = vertex_to_bits(v, self.n)
+                while up:
+                    p = (up & -up).bit_length() - 1
+                    yield bits[:p] + STAR + bits[p + 1:]
+                    up &= up - 1
 
     def has_edge(self, edge: StarVector | str) -> bool:
         key = edge.cells if isinstance(edge, StarVector) else edge
-        return key in self.edges
+        if len(key) != self.n or key.count(STAR) != 1 or not ALPHABET.issuperset(key):
+            return False
+        u, v = edge_endpoints(key)
+        return bool(self.masks.get(u, 0) & (u ^ v))
 
     def sorted_edges(self) -> list[str]:
-        return sorted(self.edges)
+        return sorted(self._edge_keys() if self._edges is None else self._edges)
 
     def replace_name(self, name: str) -> "Subgraph":
-        return Subgraph(self.n, self.edges, name)
-
-
-def subgraph_from_edges(n: int, edges: Iterable[StarVector | str], name: str | None = None) -> Subgraph:
-    keys = frozenset(e.cells if isinstance(e, StarVector) else e for e in edges)
-    return Subgraph(n, keys, name)
+        return Subgraph(self.n, name=name, masks=self.masks)
 
 
 def full_cube(n: int) -> Subgraph:
     """Q_n itself: all n*2^(n-1) edges."""
     check_dimension(n)
-    edges = []
+    return Subgraph(n, name=f"Q_{n}", masks=dict.fromkeys(range(1 << n), (1 << n) - 1))
+
+
+def subgraph_where(n: int, keep: Callable[[int, int], bool], name: str | None = None) -> Subgraph:
+    """The edges (v, p) of Q_n, v the lower endpoint and p the position, with keep(v, p)."""
+    check_dimension(n)
+    masks = [0] * (1 << n)
     for p in range(n):
-        others = [i for i in range(n) if i != p]
-        for fill in range(1 << (n - 1)):
-            cells = [STAR] * n
-            for j, i in enumerate(others):
-                cells[i] = "01"[fill >> j & 1]
-            edges.append("".join(cells))
-    return Subgraph(n, frozenset(edges), name=f"Q_{n}")
+        bit = 1 << p
+        for block in range(0, 1 << n, bit << 1):
+            for v in range(block, block + bit):
+                if keep(v, p):
+                    masks[v] |= bit
+                    masks[v | bit] |= bit
+    return Subgraph(n, name=name, masks=masks)
+
+
+def iter_subcubes(g: Subgraph, k: int) -> Iterator[tuple[int, int]]:
+    """(star mask, base) of every Q_k in g: star position sets in colex order,
+    then bases ascending, which is the order of ascending fills."""
+    vertices = sorted(g.masks.items())
+    for pos in sorted(itertools.combinations(range(g.n), k), key=lambda c: c[::-1]):
+        stars = sum(1 << p for p in pos)
+        bits = [1 << p for p in pos]
+        subs = [sum(c) for r in range(1, k + 1) for c in itertools.combinations(bits, r)]
+        for b, m in vertices:
+            if not b & stars and m & stars == stars and all(
+                    g.masks.get(b | s, 0) & stars == stars for s in subs):
+                yield stars, b
 
 
 def iter_star_vectors(n: int, k: int) -> Iterator[StarVector]:
@@ -229,25 +276,18 @@ def iter_star_vectors(n: int, k: int) -> Iterator[StarVector]:
 def apply_automorphism(perm: Sequence[int], flips: int, g: Subgraph) -> Subgraph:
     """Image of g under "move position i to perm[i], then flip bits of `flips`".
 
-    `flips` is a bit mask in image coordinates; star cells are unaffected by it.
+    `flips` is a bit mask in image coordinates; direction masks are unaffected by it.
     """
     n = g.n
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise DimensionMismatch(f"perm must be a permutation of range({n})")
     if not 0 <= flips < 1 << n:
         raise DimensionMismatch(f"flips must be a {n}-bit mask")
-    flip01 = {"0": "1", "1": "0", STAR: STAR}
-    out = []
-    for key in g.edges:
-        cells = [""] * n
-        for i, c in enumerate(key):
-            j = perm[i]
-            cells[j] = flip01[c] if (flips >> j & 1 and c != STAR) else c
-        out.append("".join(cells))
-    image = frozenset(out)
-    if len(image) != len(g.edges):  # cannot happen: the map is a bijection on keys
-        raise DimensionMismatch("automorphism collapsed edges")
-    return Subgraph(n, image, g.name)
+
+    def move(x: int) -> int:
+        return sum(1 << perm[i] for i in range(n) if x >> i & 1)
+
+    return Subgraph(n, name=g.name, masks={move(v) ^ flips: move(m) for v, m in g.masks.items()})
 
 
 def compose_automorphisms(perm2: Sequence[int], flips2: int,
@@ -262,12 +302,8 @@ def compose_automorphisms(perm2: Sequence[int], flips2: int,
 def adjacency_lists(g: Subgraph) -> list[list[int]]:
     """Neighbor lists indexed by vertex int, each sorted ascending."""
     adj: list[list[int]] = [[] for _ in range(1 << g.n)]
-    for key in g.edges:
-        u, v = edge_endpoints(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    for row in adj:
-        row.sort()
+    for v, m in g.masks.items():
+        adj[v] = sorted(v ^ (1 << p) for p in range(g.n) if m >> p & 1)
     return adj
 
 
@@ -294,7 +330,7 @@ def load_subgraph(path) -> Subgraph:
     except ValueError:
         raise ParseError(f"bad dimension {header[2:]!r}", line=1) from None
     check_dimension(n)
-    seen: set[str] = set()
+    masks: dict[int, int] = {}
     for lineno, line in enumerate(raw[1:], start=2):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -303,7 +339,6 @@ def load_subgraph(path) -> Subgraph:
             _validate_edge_key(text, n)
         except (BadChar, BadLength, BadRange) as exc:
             raise ParseError(str(exc), line=lineno) from None
-        if text in seen:
+        if not _add_edge(masks, text):
             raise DuplicateEdge(f"duplicate edge {text!r}", line=lineno)
-        seen.add(text)
-    return Subgraph(n, frozenset(seen))
+    return Subgraph(n, masks=masks)

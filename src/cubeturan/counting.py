@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,14 +17,7 @@ from typing import Mapping
 
 from ._kernels import count_cycles_kernel, find_cycle_kernel
 from ._version import __version__
-from .core import (
-    Subgraph,
-    adjacency_lists,
-    edge_key_from_endpoints,
-    expand_edges,
-    full_cube,
-    iter_star_vectors,
-)
+from .core import Subgraph, adjacency_lists, edge_key_from_endpoints, full_cube, iter_subcubes
 from .errors import (
     BadLength,
     BadRange,
@@ -96,7 +90,9 @@ class ZTable:
     """Memoized z_{k,l} values with optional text-file persistence.
 
     File lines are `z <k> <l> <value>`; a `# cubeturan-ztable <version>`
-    header keys the cache to the tool version (stale caches are discarded).
+    header keys the cache to the tool version. A cache with another version
+    or a malformed line is stale: it is ignored and rewritten on the next
+    save, which replaces the file atomically.
     """
 
     HEADER = "# cubeturan-ztable"
@@ -112,24 +108,30 @@ class ZTable:
             lines = fh.read().splitlines()
         if not lines or lines[0].strip() != f"{self.HEADER} {__version__}":
             return  # stale or foreign cache: recompute rather than trust it
+        values = {}
         for line in lines[1:]:
-            text = line.strip()
-            if not text or text.startswith("#"):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = text.split()
-            if len(parts) != 4 or parts[0] != "z":
-                raise BadRange(f"bad z-table line {text!r}")
-            self._values[int(parts[1]), int(parts[2])] = int(parts[3])
+            if len(parts) != 4 or parts[0] != "z" or not "".join(parts[1:]).isdecimal():
+                return  # truncated or corrupt: recompute rather than trust any of it
+            values[int(parts[1]), int(parts[2])] = int(parts[3])
+        self._values = values
 
     def save(self, path=None) -> None:
         path = path or self.path
         if path is None:
             return
         lines = [f"{self.HEADER} {__version__}"]
-        for (k, ell), v in sorted(self._values.items()):
-            lines.append(f"z {k} {ell} {v}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        lines += [f"z {k} {ell} {v}" for (k, ell), v in sorted(self._values.items())]
+        fd, tmp = tempfile.mkstemp(prefix=".ztable-", dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def get(self, k: int, ell: int) -> int:
         if k > ell or k < min_star_count(ell):
@@ -141,9 +143,6 @@ class ZTable:
 
     def __contains__(self, key) -> bool:
         return key in self._values
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self._values)
 
 
 @dataclass(frozen=True)
@@ -263,7 +262,7 @@ def enumerate_cycle_witnesses(g: Subgraph, length: int) -> list[CycleWitness]:
     out: list[CycleWitness] = []
     in_path = bytearray(len(adj))
 
-    def extend(path: list[int], used_mask: int) -> None:
+    def extend(path: list[int]) -> None:
         s = path[0]
         cur = path[-1]
         d = len(path) - 1
@@ -280,7 +279,7 @@ def enumerate_cycle_witnesses(g: Subgraph, length: int) -> list[CycleWitness]:
                 continue
             in_path[w] = 1
             path.append(w)
-            extend(path, used_mask)
+            extend(path)
             path.pop()
             in_path[w] = 0
 
@@ -288,23 +287,18 @@ def enumerate_cycle_witnesses(g: Subgraph, length: int) -> list[CycleWitness]:
         if len(adj[s]) < 2:
             continue
         in_path[s] = 1
-        extend([s], 0)
+        extend([s])
         in_path[s] = 0
     return out
 
 
-def count_copies_qk(g: Subgraph, ell: int, threads: int = 1) -> int:
+def count_copies_qk(g: Subgraph, ell: int) -> int:
     """Number of Q_l subcube names all of whose edges lie in g."""
     if not 0 <= ell <= g.n:
         raise BadRange(f"need 0 <= l <= n, got l={ell}, n={g.n}")
     if ell == 0:
         return 1 << g.n  # every vertex, vacuously
-    has = g.edges.__contains__
-    count = 0
-    for sv in iter_star_vectors(g.n, ell):
-        if all(has(e.cells) for e in expand_edges(sv)):
-            count += 1
-    return count
+    return sum(1 for _ in iter_subcubes(g, ell))
 
 
 def binomial_residue_sum(m: int, r: int, a: int) -> int:
@@ -335,7 +329,7 @@ def count_in_subgraph(g: Subgraph, pattern: Pattern, threads: int = 1) -> int:
     if pattern.kind == SUBCUBE:
         if pattern.order > g.n:
             return 0
-        return count_copies_qk(g, pattern.order, threads=threads)
+        return count_copies_qk(g, pattern.order)
     return count_cycles(g, pattern.order, threads=threads)
 
 

@@ -210,10 +210,7 @@ def _branch_and_bound(ne, tmasks, fmasks, budget_nodes, budget_seconds):
 
     # Q_n is edge-transitive and Q_n itself is infeasible here, so some optimal
     # solution deletes the first edge in the fixed order: fix it at the root.
-    try:
-        dfs(0, 1)
-    except BudgetExceeded:
-        raise
+    dfs(0, 1)
     return state["best"], state["best_kept"], state["nodes"]
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .core import StarVector, Subgraph, expand_edges
+from .core import StarVector, Subgraph, iter_subcubes
 from .counting import CycleWitness, find_cycle
 from .errors import BadRange, MixedDimensions
 
@@ -19,28 +20,22 @@ class FreenessVerdict:
     checked_count: int
 
 
-def _colex_combinations(n: int, k: int):
-    return sorted(itertools.combinations(range(n), k), key=lambda c: c[::-1])
-
-
 def is_qk_free(g: Subgraph, k: int) -> FreenessVerdict:
     """Scan all Q_k names (colex position sets, ascending fills); stop at the
-    first one fully contained in g."""
+    first one fully contained in g. checked_count is that name's 1-based
+    index: the colex rank of its positions times 2^(n-k), plus its fill."""
     if not 1 <= k <= g.n:
         raise BadRange(f"need 1 <= k <= n, got k={k}, n={g.n}")
-    has = g.edges.__contains__
-    checked = 0
-    for pos in _colex_combinations(g.n, k):
-        others = [i for i in range(g.n) if i not in pos]
-        for fill in range(1 << (g.n - k)):
-            cells = ["*"] * g.n
-            for j, i in enumerate(others):
-                cells[i] = "01"[fill >> j & 1]
-            sv = StarVector(g.n, "".join(cells))
-            checked += 1
-            if all(has(e.cells) for e in expand_edges(sv)):
-                return FreenessVerdict(False, sv, checked)
-    return FreenessVerdict(True, None, checked)
+    first = next(iter_subcubes(g, k), None)
+    if first is None:
+        return FreenessVerdict(True, None, math.comb(g.n, k) << (g.n - k))
+    stars, b = first
+    pos = [p for p in range(g.n) if stars >> p & 1]
+    others = [p for p in range(g.n) if not stars >> p & 1]
+    rank = sum(math.comb(p, i + 1) for i, p in enumerate(pos))
+    fill = sum(1 << j for j, p in enumerate(others) if b >> p & 1)
+    cells = "".join("*" if stars >> p & 1 else "01"[b >> p & 1] for p in range(g.n))
+    return FreenessVerdict(False, StarVector(g.n, cells), (rank << (g.n - k)) + fill + 1)
 
 
 def is_c2k_free(g: Subgraph, k: int) -> FreenessVerdict:

@@ -80,6 +80,27 @@ def brute_cycle_edge_sets(g, length: int) -> set[frozenset[frozenset[int]]]:
     return out
 
 
+def brute_subcube_scan(g, k: int):
+    """Every Q_k of g as (star string, 1-based index of that name in the scan).
+
+    Names are visited as `is_qk_free` promises: star position sets in colex
+    order, then the other positions' fills ascending. A name is present when
+    every Hamming-distance-1 pair of its 2^k vertices is adjacent in g; only
+    vertex sets and the edge strings are used.
+    """
+    adj = oracle_adjacency(g)
+    index = 0
+    for pos in sorted(itertools.combinations(range(g.n), k), key=lambda c: c[::-1]):
+        others = [i for i in range(g.n) if i not in pos]
+        for fill in range(1 << (g.n - k)):
+            index += 1
+            base = sum(1 << i for j, i in enumerate(others) if fill >> j & 1)
+            verts = {base | sum(1 << p for j, p in enumerate(pos) if f >> j & 1)
+                     for f in range(1 << k)}
+            if all(v in adj.get(u, ()) for u in verts for v in verts if (u ^ v).bit_count() == 1):
+                yield "".join("*" if i in pos else "01"[base >> i & 1] for i in range(g.n)), index
+
+
 def brute_z_words(ell: int) -> set[tuple[int, ...]]:
     """Filter all distinct double-occurrence words by the naive window scan."""
     symbols = []

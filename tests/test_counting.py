@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
 from helpers import closed_walk_count, random_automorphism, random_subgraph
 
+from cubeturan import __version__
+from cubeturan.cli import main
 from cubeturan.core import Subgraph, apply_automorphism, full_cube
 from cubeturan.counting import (
     CountReport,
@@ -231,6 +237,41 @@ def test_ztable_discards_stale_version(tmp_path):
     table = ZTable(path)
     assert (3, 3) not in table
     assert table.get(3, 3) == 16  # recomputed, not the poisoned value
+
+
+@pytest.mark.parametrize("bad_line", ["z 4 4", "z 3 3 16 7", "y 3 3 16", "z 3 x 16"])
+def test_ztable_discards_malformed_cache(tmp_path, bad_line):
+    path = tmp_path / "z.cache"
+    path.write_text(f"# cubeturan-ztable {__version__}\nz 2 2 1\nz 3 3 999\n{bad_line}\n")
+    table = ZTable(path)
+    assert (3, 3) not in table and (2, 2) not in table  # nothing of a corrupt file is trusted
+    assert table.get(3, 3) == 16
+    assert path.read_text() == f"# cubeturan-ztable {__version__}\nz 3 3 16\n"
+
+
+def test_cli_recovers_from_truncated_z_cache(tmp_path):
+    path = tmp_path / "z.cache"
+    path.write_text(f"# cubeturan-ztable {__version__}\nz 4 4\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["zl", "--l", "4", "--z-cache", str(path)]) == 0
+    assert json.loads(out.getvalue())["value"] == "648"
+    assert "z 4 4 648" in path.read_text()
+
+
+def test_ztable_failed_write_keeps_old_cache(tmp_path, monkeypatch):
+    path = tmp_path / "z.cache"
+    ZTable(path).get(3, 3)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        ZTable(path).get(2, 2)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["z.cache"]  # no temp file left behind
 
 
 def test_count_report_json():

@@ -76,13 +76,10 @@ def _cmd_zl(args):
         if k != ell:
             raise CubeError("--method words applies to the diagonal k = l only")
         value = z_ll_via_words(ell, allow_small=args.allow_small)
-        method = "words"
     else:
-        table = _ztable(args)
-        value = table.get(k, ell)
-        method = "enumeration"
-    payload = {"k": k, "l": ell, "value": str(value), "method": method}
-    return EXIT_OK, payload, f"z({k},{ell}) = {value} [{method}]"
+        value = _ztable(args).get(k, ell)
+    payload = {"k": k, "l": ell, "value": str(value), "method": "words"}
+    return EXIT_OK, payload, f"z({k},{ell}) = {value} [words]"
 
 
 def _cmd_zwords(args):
@@ -241,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zl", help="z_{k,l}: cycles in Q_k using all k positions")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int)
-    p.add_argument("--method", choices=("enum", "words"), default="enum")
+    p.add_argument("--method", choices=("enum", "words"), default="enum",
+                   help="both count words; enum: any k, via the z-table and --z-cache; "
+                        "words: |Z(l)| 2^l / 4l, k = l only, uncached")
     p.add_argument("--allow-small", action="store_true",
                    help="evaluate the word formula below l=4")
     common(p)

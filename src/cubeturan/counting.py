@@ -17,7 +17,7 @@ from typing import Mapping
 
 from ._kernels import count_cycles_kernel, find_cycle_kernel
 from ._version import __version__
-from .core import Subgraph, adjacency_lists, edge_key_from_endpoints, full_cube, iter_subcubes
+from .core import Subgraph, adjacency_lists, edge_key_from_endpoints, iter_subcubes
 from .errors import (
     BadLength,
     BadRange,
@@ -25,6 +25,7 @@ from .errors import (
     MissingZEntry,
 )
 from .patterns import CYCLE, EDGE, SUBCUBE, Pattern
+from .zwords import _z_from_word_count, count_canonical_words
 
 #: cycle enumeration works on 2^n adjacency lists; beyond this it is refused
 CYCLE_ENUM_MAX_N = 12
@@ -70,20 +71,23 @@ def closed_count_c2l(n: int, ell: int, z) -> int:
     return total
 
 
+def _check_z_args(k: int, ell: int) -> None:
+    if k < 1 or ell < 2:
+        raise BadRange(f"need k >= 1 and l >= 2, got k={k}, l={ell}")
+
+
 def z_kl(k: int, ell: int) -> int:
     """Number of 2l-cycles in Q_k whose edges use all k star positions.
 
-    Zero exactly when k > l or k < ceil(log2(2l)); otherwise found by direct
-    canonical cycle enumeration in Q_k.
+    Zero exactly when k > l or k < ceil(log2(2l)); otherwise k! * 2^k / 4l
+    times zwords.count_canonical_words(k, l).
     """
-    if k < 1 or ell < 2:
-        raise BadRange(f"need k >= 1 and l >= 2, got k={k}, l={ell}")
+    _check_z_args(k, ell)
     if k > ell or k < min_star_count(ell):
         return 0
     if k > CYCLE_ENUM_MAX_N:
-        raise EnumerationTooLarge(f"z_kl enumeration refused for k={k} > {CYCLE_ENUM_MAX_N}")
-    adj = adjacency_lists(full_cube(k))
-    return count_cycles_kernel(adj, 2 * ell, required_mask=(1 << k) - 1)
+        raise EnumerationTooLarge(f"z_kl refused for k={k} > {CYCLE_ENUM_MAX_N}")
+    return _z_from_word_count(math.factorial(k) * count_canonical_words(k, ell), ell, k)
 
 
 class ZTable:
@@ -134,6 +138,7 @@ class ZTable:
             raise
 
     def get(self, k: int, ell: int) -> int:
+        _check_z_args(k, ell)
         if k > ell or k < min_star_count(ell):
             return 0
         if (k, ell) not in self._values:

@@ -9,6 +9,10 @@ The window condition reduces to prefix parity masks: a window [a, a+2k) is
 all-even exactly when the parity masks after a and after a+2k symbols agree.
 So a valid word is one whose prefix masks are pairwise distinct within each
 index-parity class, except for the full word (mask 0 at both ends).
+
+Off the diagonal, a closed walk in Q_k with star word w is a 2l-cycle using
+all k positions iff w uses all k symbols, m_0..m_{2l-1} are pairwise distinct
+and m_{2l} = 0; a cycle is 4l such walks, so z_{k,l} = #words * 2^k / 4l.
 """
 
 from __future__ import annotations
@@ -16,7 +20,10 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .errors import BadRange, NonIntegralResult
+from .errors import BadRange, EnumerationTooLarge, NonIntegralResult
+
+#: the word count recurses once per letter, 2l deep; no l near this finishes
+MAX_WORD_L = 256
 
 
 def _check_ell(ell: int) -> None:
@@ -24,44 +31,71 @@ def _check_ell(ell: int) -> None:
         raise BadRange(f"need l >= 2, got {ell}")
 
 
-def _backtrack(ell: int, canonical: bool):
-    """Yield words (lexicographic order); canonical restricts to words whose
-    symbols first appear in increasing order (one per relabeling class)."""
-    L = 2 * ell
-    word = [0] * L
-    counts = [0] * (ell + 1)
-    seen_even = {0}
-    seen_odd: set[int] = set()
+def count_canonical_words(k: int, ell: int) -> int:
+    """Star words of 2l-cycles in Q_k using all k symbols, in first-occurrence
+    canonical form; relabeling acts freely, so k! times this counts all words.
+    """
+    if ell > MAX_WORD_L:
+        raise EnumerationTooLarge(f"word count refused for l={ell} > {MAX_WORD_L}")
+    seen = {0}  # prefix masks on the current branch
+    bits = [1 << s for s in range(k)]
 
-    def rec(pos: int, pmask: int, maxsym: int) -> Iterator[tuple[int, ...]]:
-        if pos == L:
-            yield tuple(word)
-            return
-        top = min(ell, maxsym + 1) if canonical else ell
-        final = pos == L - 1
-        bucket = seen_odd if pos % 2 == 0 else seen_even  # parity of index pos+1
-        for s in range(1, top + 1):
-            if counts[s] == 2:
+    def rec(left: int, mask: int, used: int) -> int:
+        # Closing takes popcount(mask) letters and each unused symbol two; with
+        # one letter left, that forces a single-bit mask, all k symbols used
+        # and the last letter, so the word is counted without placing it.
+        left -= 1
+        slack = left - 2 * (k - used)
+        total = 0
+        for b in bits[:used]:
+            nm = mask ^ b
+            if nm in seen or nm.bit_count() > slack:
                 continue
-            nm = pmask ^ (1 << s)
-            if not final:
-                if nm in bucket:
-                    continue
-                bucket.add(nm)
-            word[pos] = s
-            counts[s] += 1
-            yield from rec(pos + 1, nm, s if s > maxsym else maxsym)
-            counts[s] -= 1
-            if not final:
-                bucket.discard(nm)
+            if left == 1:
+                total += 1
+            else:
+                seen.add(nm)
+                total += rec(left, nm, used)
+                seen.discard(nm)
+        if used < k:
+            nm = mask | bits[used]  # the next new symbol: one fewer unused
+            if nm not in seen and nm.bit_count() <= slack + 2:
+                if left == 1:
+                    total += 1
+                else:
+                    seen.add(nm)
+                    total += rec(left, nm, used + 1)
+                    seen.discard(nm)
+        return total
 
-    yield from rec(0, 0, 0)
+    return rec(2 * ell, 0, 0)
 
 
 def iter_z_words(ell: int) -> Iterator[tuple[int, ...]]:
     """All of Z(l), lexicographically. Beware: |Z(l)| grows factorially."""
     _check_ell(ell)
-    return _backtrack(ell, canonical=False)
+    L = 2 * ell
+    word = [0] * L
+    counts = [0] * (ell + 1)
+    seen = {0}  # prefix masks; those of even and odd prefixes never coincide
+
+    def rec(pos: int, pmask: int) -> Iterator[tuple[int, ...]]:
+        if pos == L - 1:  # the one symbol seen once closes the word
+            word[pos] = pmask.bit_length() - 1
+            yield tuple(word)
+            return
+        for s in range(1, ell + 1):
+            nm = pmask ^ (1 << s)
+            if counts[s] == 2 or nm in seen:
+                continue
+            seen.add(nm)
+            word[pos] = s
+            counts[s] += 1
+            yield from rec(pos + 1, nm)
+            counts[s] -= 1
+            seen.discard(nm)
+
+    return rec(0, 0)
 
 
 def enumerate_z_words(ell: int) -> list[tuple[int, ...]]:
@@ -71,20 +105,20 @@ def enumerate_z_words(ell: int) -> list[tuple[int, ...]]:
 def count_z_words(ell: int) -> int:
     """|Z(l)| without materializing the words.
 
-    The window condition is invariant under relabeling symbols and every word
-    uses all l symbols, so relabeling acts freely: |Z(l)| is l! times the
-    number of words in first-occurrence canonical form.
+    Every word of Z(l) uses all l symbols, each exactly twice, so |Z(l)| is
+    l! times count_canonical_words(l, l).
     """
     _check_ell(ell)
-    canonical = sum(1 for _ in _backtrack(ell, canonical=True))
-    return math.factorial(ell) * canonical
+    return math.factorial(ell) * count_canonical_words(ell, ell)
 
 
-def _z_from_word_count(count: int, ell: int) -> int:
-    num = count << ell
+def _z_from_word_count(count: int, ell: int, k: int | None = None) -> int:
+    """Exactly count * 2^k / 4l for `count` words of 2l-cycles in Q_k (k = l by default)."""
+    k = ell if k is None else k
+    num = count << k
     if num % (4 * ell):
         raise NonIntegralResult(
-            f"|Z({ell})|*2^{ell} = {num} is not divisible by {4 * ell}"
+            f"{count} words * 2^{k} = {num} is not divisible by {4 * ell}"
         )
     return num // (4 * ell)
 

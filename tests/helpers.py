@@ -123,6 +123,19 @@ def brute_z_words(ell: int) -> set[tuple[int, ...]]:
     return out
 
 
+def brute_z_kl(k: int, ell: int) -> int:
+    """2l-cycles of Q_k whose star lists use all k positions, by enumeration.
+
+    Lists every cycle with the pure-Python witness enumerator, so neither the
+    cycle kernel nor any word count is involved.
+    """
+    from cubeturan.core import full_cube
+    from cubeturan.counting import enumerate_cycle_witnesses
+
+    return sum(1 for c in enumerate_cycle_witnesses(full_cube(k), 2 * ell)
+               if len(set(c.star_list)) == k)
+
+
 def random_subgraph(n: int, keep_probability: float, rng: random.Random):
     from cubeturan.core import Subgraph, full_cube
 

@@ -163,3 +163,28 @@ def test_thread_count_does_not_change_output(tmp_path):
             base = payload
         else:
             assert payload == base
+
+
+@pytest.mark.parametrize("args", [("--l", "0"), ("--l", "2", "--k", "-3"), ("--l", "1")])
+def test_zl_bad_range_exits_2(args, tmp_path):
+    cache = tmp_path / "z.cache"
+    proc = run_cli("zl", *args, "--z-cache", str(cache))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "BadRange"
+    assert not cache.exists()
+
+
+def test_zl_reports_the_word_method():
+    for args in ((), ("--method", "enum"), ("--method", "words")):
+        proc = run_cli("zl", "--l", "4", *args)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"k": 4, "l": 4, "method": "words", "value": "648"}
+
+
+@pytest.mark.parametrize("argv", [("zl", "--l", "600", "--k", "12"),
+                                  ("zwords", "--l", "600", "--count-only")])
+def test_word_count_refuses_huge_l_with_exit_4(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 4
+    assert json.loads(proc.stderr)["error"] == "EnumerationTooLarge"

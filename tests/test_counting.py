@@ -299,3 +299,13 @@ def test_q2_and_c4_count_the_same_objects():
         assert (count_report(n, parse_pattern("q2")).count
                 == count_report(n, parse_pattern("c4")).count
                 == n * (n - 1) * 2 ** (n - 3))
+
+
+def test_ztable_get_validates_before_the_zero_range(tmp_path):
+    path = tmp_path / "z.cache"
+    table = ZTable(path)
+    for k, ell in ((0, 0), (-3, 2), (0, 2), (2, 1), (5, 1)):
+        with pytest.raises(BadRange):
+            table.get(k, ell)
+    assert (0, 0) not in table and not path.exists()
+    assert table.get(5, 4) == 0 and table.get(2, 4) == 0  # valid but vanishing

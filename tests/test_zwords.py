@@ -1,12 +1,13 @@
 import math
 
 import pytest
-from helpers import brute_z_words
+from helpers import brute_z_kl, brute_z_words
 
 from cubeturan.counting import z_kl
-from cubeturan.errors import BadRange, NonIntegralResult
+from cubeturan.errors import BadRange, EnumerationTooLarge, NonIntegralResult
 from cubeturan.zwords import (
     _z_from_word_count,
+    count_canonical_words,
     count_z_words,
     enumerate_z_words,
     iter_z_words,
@@ -74,3 +75,46 @@ def test_bad_range():
         count_z_words(1)
     with pytest.raises(BadRange):
         z_ll_via_words(1, allow_small=True)
+
+
+ORACLE_CASES = [(k, ell) for ell in range(2, 6) for k in range(1, ell + 1)] + [(3, 6), (4, 6)]
+
+
+@pytest.mark.parametrize("k, ell", ORACLE_CASES)
+def test_z_kl_matches_cycle_enumeration(k, ell):
+    assert z_kl(k, ell) == brute_z_kl(k, ell)
+
+
+@pytest.mark.parametrize("k, ell, value", [
+    (5, 6, 540960),
+    (6, 6, 5433600),
+    (6, 7, 147755520),
+    (7, 7, 880865280),
+    (4, 8, 1344),  # the Hamiltonian cycles of Q_4
+])
+def test_z_kl_pinned_values(k, ell, value):
+    assert z_kl(k, ell) == value
+
+
+@pytest.mark.parametrize("ell", [4, 5, 6, 7])
+def test_z_kl_diagonal_equals_word_formula(ell):
+    assert z_kl(ell, ell) == z_ll_via_words(ell)
+
+
+def test_canonical_word_count_vanishes_where_no_cycle_fits():
+    # z_kl answers these without counting, so the count is checked directly
+    assert count_canonical_words(3, 6) == 0  # 12 distinct masks do not fit in Q_3
+    assert count_canonical_words(5, 4) == 0  # 5 symbols need at least 10 letters
+
+
+def test_word_count_to_z_checks_divisibility_off_the_diagonal():
+    assert _z_from_word_count(math.factorial(5) * 3381, 6, 5) == 540960
+    with pytest.raises(NonIntegralResult):
+        _z_from_word_count(1, 6, 5)  # 32 is not divisible by 24
+
+
+def test_word_count_refuses_l_beyond_its_recursion_depth():
+    with pytest.raises(EnumerationTooLarge):
+        count_z_words(600)  # would otherwise recurse 1200 frames deep
+    with pytest.raises(EnumerationTooLarge):
+        z_kl(12, 600)

@@ -1,24 +1,12 @@
-"""Build script: compiles the optional cycle-search extension.
+"""Build script: compiles the optional cycle-search kernel.
 
-The package works without the extension (a pure-Python twin of the kernel is
-selected at import time), so a missing compiler or Cython only costs speed.
+`cycle_dfs.c` is plain C with no Python headers; it is built as a shared
+library next to the package's modules and loaded with ctypes. The package
+works without it (the pure-Python twin is selected at import time), so a
+missing or failing C compiler only costs speed.
 """
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/cubeturan/_kernels/_cycles.pyx"],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("cubeturan._kernels.cycle_dfs", ["src/cubeturan/_kernels/cycle_dfs.c"], optional=True),
+])

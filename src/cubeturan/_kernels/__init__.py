@@ -1,7 +1,9 @@
 """Backend selection for the cycle-search kernel.
 
-The compiled extension is preferred; the pure-Python twin is the fallback.
-Set CUBETURAN_PURE=1 to force the fallback (used by the benchmark and tests).
+The compiled kernel (cycle_dfs.c, loaded with ctypes) is preferred; the
+pure-Python twin is the fallback when the library is missing or fails to
+load. Set CUBETURAN_PURE=1 to force the fallback (used by the benchmark and
+tests).
 """
 
 import os
@@ -11,7 +13,7 @@ if os.environ.get("CUBETURAN_PURE") == "1":
     BACKEND = "python"
 else:
     try:
-        from ._cycles import count_cycles_kernel, find_cycle_kernel
+        from ._cycles_c import count_cycles_kernel, find_cycle_kernel
         BACKEND = "c"
     except ImportError:
         from ._cycles_py import count_cycles_kernel, find_cycle_kernel

@@ -1,101 +1,47 @@
-"""Pure-Python twin of the compiled cycle kernel.
+"""Pure-Python twin of the compiled cycle kernel (cycle_dfs.c).
 
-Both backends implement the same contract:
+Both backends implement the same contract on a Subgraph `g`:
 
-* cycles are counted in canonical orientation only: the start vertex is the
+* cycles are produced in canonical orientation only: the start vertex is the
   cycle minimum and the second vertex is smaller than the last, so every
   cycle is produced exactly once;
-* vertices are hypercube ints, so `u ^ v` of an edge is a power of two and
-  its bit index is the flipped position;
-* `required_mask` (when nonzero) keeps only cycles whose flipped positions
-  OR to exactly that mask;
+* the start vertices searched are start, start + step, ..., so counts over
+  the residues modulo `step` sum to the total;
+* neighbours are visited in ascending vertex order, and each start of degree
+  at least 2 and each neighbour visited is one node, so the first cycle and
+  the node count agree across backends;
 * Hamming-distance-to-start pruning is sound because any return walk needs
-  at least that many edges.
+  at least that many edges; one step before closing, w ^ s is a single bit,
+  so `masks[w] & (w ^ s)` tests the closing edge.
+
+`_dfs` is the one search here; counting, stopping at the first cycle and
+collecting every cycle are its three uses.
 """
 
 from __future__ import annotations
 
-
-def _adjacency_bits(adj):
-    out = []
-    for row in adj:
-        m = 0
-        for w in row:
-            m |= 1 << w
-        out.append(m)
-    return out
+from ..core import adjacency_lists
 
 
-def count_cycles_kernel(adj, length, required_mask=0, start_lo=0, start_hi=None):
-    """Number of canonical cycles on `length` vertices with minimum in range."""
-    nv = len(adj)
-    if start_hi is None or start_hi > nv:
-        start_hi = nv
-    adj_bits = _adjacency_bits(adj)
-    in_path = bytearray(nv)
-    path = [0] * length
-    iters = [0] * length
-    used = [0] * length
-    total = 0
-    last = length - 1
-    for s in range(start_lo, start_hi):
-        if len(adj[s]) < 2:
-            continue
-        path[0] = s
-        in_path[s] = 1
-        used[0] = 0
-        iters[0] = 0
-        d = 0
-        while d >= 0:
-            cur = path[d]
-            row = adj[cur]
-            if iters[d] < len(row):
-                w = row[iters[d]]
-                iters[d] += 1
-                if w <= s or in_path[w]:
-                    continue
-                if (w ^ s).bit_count() > length - d - 1:
-                    continue
-                u2 = used[d] | (1 << (cur ^ w).bit_length() - 1)
-                if required_mask and 2 * (required_mask & ~u2).bit_count() > length - d - 1:
-                    continue
-                if d + 1 == last:
-                    if w > path[1] and adj_bits[w] >> s & 1:
-                        if not required_mask or u2 | (1 << (w ^ s).bit_length() - 1) == required_mask:
-                            total += 1
-                    continue
-                d += 1
-                path[d] = w
-                used[d] = u2
-                iters[d] = 0
-                in_path[w] = 1
-            else:
-                in_path[cur] = 0
-                d -= 1
-    return total
+def _dfs(g, length, start=0, step=1, out=None, first=False):
+    """(cycles found, nodes) over the start vertices start::step.
 
-
-def find_cycle_kernel(adj, length, required_mask=0):
-    """First canonical cycle in DFS order (the lexicographically smallest
-    canonical vertex sequence), plus the number of extension attempts made.
-
-    Returns (tuple_of_vertices | None, nodes).
+    With a list `out`, each cycle is appended to it as a vertex tuple, and
+    with `first` the search stops after the first one.
     """
-    nv = len(adj)
-    adj_bits = _adjacency_bits(adj)
-    in_path = bytearray(nv)
+    adj = adjacency_lists(g)
+    masks = g.masks
+    in_path = bytearray(len(adj))
     path = [0] * length
     iters = [0] * length
-    used = [0] * length
-    nodes = 0
+    found = nodes = 0
     last = length - 1
-    for s in range(nv):
+    for s in range(start, len(adj), step):
         if len(adj[s]) < 2:
             continue
         nodes += 1
         path[0] = s
         in_path[s] = 1
-        used[0] = 0
         iters[0] = 0
         d = 0
         while d >= 0:
@@ -109,21 +55,42 @@ def find_cycle_kernel(adj, length, required_mask=0):
                     continue
                 if (w ^ s).bit_count() > length - d - 1:
                     continue
-                u2 = used[d] | (1 << (cur ^ w).bit_length() - 1)
-                if required_mask and 2 * (required_mask & ~u2).bit_count() > length - d - 1:
-                    continue
                 if d + 1 == last:
-                    if w > path[1] and adj_bits[w] >> s & 1:
-                        if not required_mask or u2 | (1 << (w ^ s).bit_length() - 1) == required_mask:
-                            path[last] = w
-                            return tuple(path), nodes
+                    if w > path[1] and masks[w] & (w ^ s):
+                        found += 1
+                        if out is not None:
+                            out.append(tuple(path[:last]) + (w,))
+                            if first:
+                                return found, nodes
                     continue
                 d += 1
                 path[d] = w
-                used[d] = u2
                 iters[d] = 0
                 in_path[w] = 1
             else:
                 in_path[cur] = 0
                 d -= 1
-    return None, nodes
+    return found, nodes
+
+
+def count_cycles_kernel(g, length, start=0, step=1):
+    """Number of canonical cycles on `length` vertices whose minimum is in start::step."""
+    return _dfs(g, length, start, step)[0]
+
+
+def find_cycle_kernel(g, length):
+    """First canonical cycle in DFS order (the lexicographically smallest
+    canonical vertex sequence), plus the number of nodes visited.
+
+    Returns (tuple_of_vertices | None, nodes).
+    """
+    out: list = []
+    _, nodes = _dfs(g, length, out=out, first=True)
+    return (out[0] if out else None), nodes
+
+
+def collect_cycles(g, length) -> list[tuple[int, ...]]:
+    """Every canonical cycle on `length` vertices, in DFS order."""
+    out: list = []
+    _dfs(g, length, out=out)
+    return out

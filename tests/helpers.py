@@ -53,8 +53,9 @@ def closed_walk_count(g, length: int) -> int:
     return total
 
 
-def brute_cycle_edge_sets(g, length: int) -> set[frozenset[frozenset[int]]]:
-    """All cycles of the given length, deduplicated by their edge sets."""
+def brute_cycle_edge_sets(g, length: int, starts=None) -> set[frozenset[frozenset[int]]]:
+    """All cycles of the given length through a vertex of `starts` (default:
+    every vertex), deduplicated by their edge sets."""
     adj = oracle_adjacency(g)
     out: set[frozenset[frozenset[int]]] = set()
 
@@ -75,8 +76,9 @@ def brute_cycle_edge_sets(g, length: int) -> set[frozenset[frozenset[int]]]:
                 seen.remove(w)
                 path.pop()
 
-    for s in adj:
-        extend([s], {s})
+    for s in adj if starts is None else starts:
+        if s in adj:
+            extend([s], {s})
     return out
 
 
@@ -126,14 +128,19 @@ def brute_z_words(ell: int) -> set[tuple[int, ...]]:
 def brute_z_kl(k: int, ell: int) -> int:
     """2l-cycles of Q_k whose star lists use all k positions, by enumeration.
 
-    Lists every cycle with the pure-Python witness enumerator, so neither the
-    cycle kernel nor any word count is involved.
+    Cycles come from `brute_cycle_edge_sets` and an edge {u, v} has position
+    (u ^ v).bit_length() - 1, so neither the cycle kernel nor any word count
+    is involved. The 2^k translations v -> v ^ t map cycles to cycles with the
+    same positions and each cycle has 2l vertices, so the total is 2^k times
+    the cycles through vertex 0 over 2l; only those are listed.
     """
     from cubeturan.core import full_cube
-    from cubeturan.counting import enumerate_cycle_witnesses
 
-    return sum(1 for c in enumerate_cycle_witnesses(full_cube(k), 2 * ell)
-               if len(set(c.star_list)) == k)
+    through_zero = sum(1 for cycle in brute_cycle_edge_sets(full_cube(k), 2 * ell, starts=(0,))
+                       if len({(u ^ v).bit_length() - 1 for u, v in cycle}) == k)
+    total, rest = divmod(through_zero << k, 2 * ell)
+    assert rest == 0
+    return total
 
 
 def random_subgraph(n: int, keep_probability: float, rng: random.Random):

@@ -19,16 +19,16 @@ from ._version import __version__
 from .bounds import bound_sandwich_report, eval_bound
 from .constructions import KINDS, ConstructionSpec
 from .core import StarVector, load_subgraph, save_subgraph
-from .counting import CycleWitness, ZTable, count_report, z_kl
+from .counting import ZTable, count_report
 from .errors import (
     BudgetExceeded,
     CubeError,
     DimensionTooLarge,
     EnumerationTooLarge,
 )
-from .patterns import CYCLE, EDGE, SUBCUBE, parse_pattern
+from .patterns import parse_pattern
 from .search import exact_extremal
-from .verification import FreenessVerdict, has_k_partite_representation, is_c2k_free, is_qk_free
+from .verification import has_k_partite_representation, is_pattern_free
 from .zwords import count_z_words, iter_z_words, z_ll_via_words
 
 EXIT_OK = 0
@@ -118,14 +118,7 @@ def _cmd_construct(args):
 
 def _cmd_verify(args):
     pattern = parse_pattern(args.forbid)
-    g = load_subgraph(args.path)
-    if pattern.kind == SUBCUBE:
-        verdict = is_qk_free(g, pattern.order)
-    elif pattern.kind == CYCLE:
-        verdict = is_c2k_free(g, pattern.order // 2)
-    else:
-        edges = g.sorted_edges()
-        verdict = FreenessVerdict(not edges, StarVector(g.n, edges[0]) if edges else None, g.edge_count)
+    verdict = is_pattern_free(load_subgraph(args.path), pattern)
     payload = {
         "forbid": str(pattern),
         "free": verdict.free,

@@ -15,9 +15,12 @@ from .core import (
     StarVector,
     Subgraph,
     edge_endpoints,
-    expand_vertices,
+    edge_pair_masks,
     full_cube,
-    iter_star_vectors,
+    iter_subcubes,
+    subcube_edges,
+    subcube_star_vector,
+    subcube_vertices,
     subgraph_where,
 )
 from .counting import CycleWitness, binomial_residue_sum, find_cycle
@@ -103,23 +106,13 @@ def aks_appendix_graph(n: int, k: int) -> Subgraph:
 # ---------------------------------------------------------------------------
 # parity-selected Q_2 packing (C_6-free)
 
-def _even_weight_words(m: int):
-    for bits in range(1 << m):
-        if bits.bit_count() % 2 == 0:
-            yield "".join("01"[bits >> i & 1] for i in range(m))
-
-
 def parity_q2_selection(n: int) -> list[StarVector]:
     """Q_2 names with adjacent stars at (s, s+1), s even 0-based (odd in
-    1-based prose), and even ones-counts in both prefix and suffix."""
-    if n < 3:
-        raise BadRange(f"need n >= 3, got {n}")
-    out = []
-    for s in range(0, n - 1, 2):
-        for pre in _even_weight_words(s):
-            for suf in _even_weight_words(n - s - 2):
-                out.append(StarVector(n, pre + STAR + STAR + suf))
-    return out
+    1-based prose), and even ones-counts in both prefix and suffix. They are
+    exactly the Q_2's of parity_q2_packing(n): of two parallel edges whose
+    bases differ at a position other than the star's partner p ^ 1, one has
+    an odd prefix or suffix, so every Q_2 there has stars {p, p ^ 1}."""
+    return [subcube_star_vector(n, *pair) for pair in iter_subcubes(parity_q2_packing(n), 2)]
 
 
 def parity_q2_packing(n: int) -> Subgraph:
@@ -157,19 +150,34 @@ def _mod3_targets(ell: int) -> tuple[int, ...]:
     return (0,) + (1,) * (ell - 1) + (0,)
 
 
+def _mod3_hit(stars: int, base: int) -> bool:
+    """The segment residue rule for the Q_l (star mask, base): the ones of base
+    below the lowest star, between consecutive stars and above the highest.
+    Each pass takes the segment below the lowest star left and drops that star."""
+    for target in _mod3_targets(stars.bit_count()):
+        segment = base & ((stars & -stars) - 1) if stars else base
+        if segment.bit_count() % 3 != target:
+            return False
+        base, stars = base ^ segment, stars & (stars - 1)
+    return True
+
+
 def mod3_selected(sv: StarVector) -> bool:
     """Does this Q_l name satisfy the segment residue pattern?"""
-    targets = _mod3_targets(sv.k)
-    segs = sv.cells.split(STAR)
-    return all(s.count("1") % 3 == t for s, t in zip(segs, targets))
+    return _mod3_hit(*sv.pair)
+
+
+def _mod3_pairs(n: int, ell: int) -> list[tuple[int, int]]:
+    """(star mask, base) of every selected Q_l, in `iter_subcubes` order."""
+    if ell < 4 or n < ell:
+        raise BadRange(f"need l >= 4 and n >= l, got l={ell}, n={n}")
+    return [pair for pair in iter_subcubes(full_cube(n), ell) if _mod3_hit(*pair)]
 
 
 def mod3_ql_selection(n: int, ell: int) -> list[StarVector]:
     """All selected Q_l names, by enumeration (selection order is the
     deterministic subcube iteration order)."""
-    if ell < 4 or n < ell:
-        raise BadRange(f"need l >= 4 and n >= l, got l={ell}, n={n}")
-    return [sv for sv in iter_star_vectors(n, ell) if mod3_selected(sv)]
+    return [subcube_star_vector(n, *pair) for pair in _mod3_pairs(n, ell)]
 
 
 def mod3_ql_selection_count(n: int, ell: int) -> int:
@@ -230,17 +238,15 @@ class CycleFamily:
 def conder_cycle_family(n: int, ell: int) -> CycleFamily:
     """For every mod-3 selected Q_l, the explicit 2l-cycle using all of its
     star positions; every edge of every member lies in conder_graph(n)."""
-    if ell < 4 or n < ell:
-        raise BadRange(f"need l >= 4 and n >= l, got l={ell}, n={n}")
+    selected = _mod3_pairs(n, ell)  # checks l >= 4 and n >= l
     rows = _cycle_row_masks(ell)
     members = []
-    union: set[str] = set()
-    for sv in mod3_ql_selection(n, ell):
-        corners = expand_vertices(sv)  # indexed by fill, as the row masks are
+    for stars, base in selected:
+        corners = subcube_vertices(stars, base)  # indexed by fill, as the row masks are
         witness = CycleWitness.from_vertices(n, [corners[mask] for mask in rows])
-        members.append((sv, witness))
-        union.update(witness.edge_keys())
-    graph = Subgraph(n, union, f"conder-cycles(n={n},l={ell})")
+        members.append((subcube_star_vector(n, stars, base), witness))
+    masks = edge_pair_masks(e for _, w in members for e in w.edge_pairs())
+    graph = Subgraph(n, name=f"conder-cycles(n={n},l={ell})", masks=masks)
     return CycleFamily(n, ell, tuple(members), graph)
 
 
@@ -267,7 +273,7 @@ def disjoint_qm_packing(n: int, m: int, with_cycles: bool = False,
     witness, _ = find_cycle(full_cube(m), 2 * ell)
     if witness is None:  # cannot happen: Q_m hosts all even lengths up to 2^m
         raise CycleDoesNotFit(f"no C_{2 * ell} found in Q_{m}")
-    cycle = Subgraph(m, witness.edge_keys()).masks  # the same cycle in every copy
+    cycle = edge_pair_masks(witness.edge_pairs())  # the same cycle in every copy
     low = (1 << m) - 1
     return subgraph_where(n, lambda v, p: p < m and cycle.get(v & low, 0) >> p & 1,
                           f"qm-packing(n={n},m={m},c{2 * ell})")
@@ -311,13 +317,9 @@ class ConstructionSpec:
         if kind == "conder":
             return conder_graph(self._p("n"))
         if kind == "mod3-select":
-            masks: dict[int, int] = {}
-            for sv in mod3_ql_selection(self._p("n"), self._p("l")):
-                stars = sum(1 << p for p in sv.star_positions)
-                for v in expand_vertices(sv):
-                    masks[v] = masks.get(v, 0) | stars
-            return Subgraph(self._p("n"), name=f"mod3-select(n={self._p('n')},l={self._p('l')})",
-                            masks=masks)
+            n, ell = self._p("n"), self._p("l")
+            masks = edge_pair_masks(e for pair in _mod3_pairs(n, ell) for e in subcube_edges(*pair))
+            return Subgraph(n, name=f"mod3-select(n={n},l={ell})", masks=masks)
         if kind == "conder-cycles":
             return conder_cycle_family(self._p("n"), self._p("l")).union_graph
         if kind == "qm-packing":

@@ -7,8 +7,10 @@ Conventions (used everywhere in the package):
   is the least significant bit);
 * a subgraph is immutable and held as a sparse map from vertex to direction
   mask: bit p of ``masks[v]`` is set iff the edge {v, v ^ (1 << p)} is in it,
-  and edgeless vertices have no entry. A Q_k with base b and star mask S is
-  in it iff ``masks[b | s] & S == S`` for every s within S;
+  and edgeless vertices have no entry. A Q_k is named by the pair (star mask
+  S, base b), b having no bit in S; it is in the subgraph iff
+  ``masks[b | s] & S == S`` for every s within S, and an edge is the pair of
+  its endpoints;
 * star strings such as ``01*10`` (the edge joining 01010 and 01110) appear
   only at the boundary: files, ``Subgraph(n, edges)``, ``Subgraph.edges``
   and witnesses.
@@ -74,6 +76,12 @@ class StarVector:
     def star_positions(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.cells) if c == STAR)
 
+    @property
+    def pair(self) -> tuple[int, int]:
+        """(star mask, base): the star positions as bits, and the vertex with every star 0."""
+        return (sum(1 << i for i, c in enumerate(self.cells) if c == STAR),
+                sum(1 << i for i, c in enumerate(self.cells) if c == "1"))
+
     def __str__(self) -> str:
         return self.cells
 
@@ -98,20 +106,41 @@ def bits_to_vertex(bits: str) -> int:
     return v
 
 
+def subcube_vertices(stars: int, base: int) -> list[int]:
+    """The 2^k vertices of the Q_k with star mask `stars` and base `base`, in fill
+    order: index bit j sets the j-th lowest star position."""
+    vertices = [base]
+    while stars:
+        bit = stars & -stars
+        vertices += [v | bit for v in vertices]
+        stars ^= bit
+    return vertices
+
+
+def subcube_edges(stars: int, base: int) -> list[tuple[int, int]]:
+    """The k*2^(k-1) edges (u, v), u < v, of the Q_k with star mask `stars` and
+    base `base`: from each vertex up along every star that is 0 there."""
+    return [(v, v | 1 << p) for v in subcube_vertices(stars, base)
+            for p in range(stars.bit_length()) if (stars & ~v) >> p & 1]
+
+
+def subcube_star_vector(n: int, stars: int, base: int) -> StarVector:
+    """The star-string name of the Q_k with star mask `stars` and base `base`."""
+    return StarVector(n, "".join(STAR if stars >> p & 1 else "01"[base >> p & 1]
+                                 for p in range(n)))
+
+
 def expand_vertices(sv: StarVector) -> list[int]:
     """All 2^k vertices of the subcube, as ints, in increasing fill order."""
-    base = sum(1 << i for i, c in enumerate(sv.cells) if c == "1")
-    stars = sv.star_positions
-    return [base | sum(1 << p for j, p in enumerate(stars) if fill >> j & 1)
-            for fill in range(1 << len(stars))]
+    return subcube_vertices(*sv.pair)
 
 
 def expand_edges(sv: StarVector) -> list[StarVector]:
     """All k*2^(k-1) edges of the subcube, each a one-star vector."""
     if sv.k == 0:
         raise NoStars(f"{sv.cells!r} has no stars to expand")
-    return [StarVector(sv.n, edge_key_from_endpoints(v, v | 1 << p, sv.n))
-            for p in sv.star_positions for v in expand_vertices(sv) if not v >> p & 1]
+    return [StarVector(sv.n, edge_key_from_endpoints(u, v, sv.n))
+            for u, v in subcube_edges(*sv.pair)]
 
 
 def edge_star_position(edge: StarVector | str) -> int:
@@ -231,6 +260,16 @@ def full_cube(n: int) -> Subgraph:
     return Subgraph(n, name=f"Q_{n}", masks=dict.fromkeys(range(1 << n), (1 << n) - 1))
 
 
+def edge_pair_masks(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Direction masks of the edges given as endpoint pairs (repeats are harmless)."""
+    masks: dict[int, int] = {}
+    for u, v in pairs:
+        bit = u ^ v
+        masks[u] = masks.get(u, 0) | bit
+        masks[v] = masks.get(v, 0) | bit
+    return masks
+
+
 def subgraph_where(n: int, keep: Callable[[int, int], bool], name: str | None = None) -> Subgraph:
     """The edges (v, p) of Q_n, v the lower endpoint and p the position, with keep(v, p)."""
     check_dimension(n)
@@ -251,26 +290,11 @@ def iter_subcubes(g: Subgraph, k: int) -> Iterator[tuple[int, int]]:
     vertices = sorted(g.masks.items())
     for pos in sorted(itertools.combinations(range(g.n), k), key=lambda c: c[::-1]):
         stars = sum(1 << p for p in pos)
-        bits = [1 << p for p in pos]
-        subs = [sum(c) for r in range(1, k + 1) for c in itertools.combinations(bits, r)]
+        subs = subcube_vertices(stars, 0)[1:]
         for b, m in vertices:
             if not b & stars and m & stars == stars and all(
                     g.masks.get(b | s, 0) & stars == stars for s in subs):
                 yield stars, b
-
-
-def iter_star_vectors(n: int, k: int) -> Iterator[StarVector]:
-    """All C(n,k)*2^(n-k) subcube names, positions lexicographic, fills ascending."""
-    if not 0 <= k <= n:
-        raise BadRange(f"need 0 <= k <= n, got k={k}, n={n}")
-    check_dimension(n)
-    for pos in itertools.combinations(range(n), k):
-        others = [i for i in range(n) if i not in pos]
-        for fill in range(1 << (n - k)):
-            cells = [STAR] * n
-            for j, i in enumerate(others):
-                cells[i] = "01"[fill >> j & 1]
-            yield StarVector(n, "".join(cells))
 
 
 def apply_automorphism(perm: Sequence[int], flips: int, g: Subgraph) -> Subgraph:

@@ -13,7 +13,6 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from ._kernels import count_cycles_kernel, find_cycle_kernel
 from ._kernels._cycles_py import collect_cycles
@@ -28,7 +27,8 @@ from .errors import (
 from .patterns import CYCLE, EDGE, SUBCUBE, Pattern
 from .zwords import _z_from_word_count, count_canonical_words
 
-#: cycle enumeration works on 2^n adjacency lists; beyond this it is refused
+#: cycle enumeration starts a DFS at each of the 2^n vertices, over 2^n-entry
+#: mask and in-path tables; beyond this n it is refused
 CYCLE_ENUM_MAX_N = 12
 
 
@@ -86,6 +86,8 @@ def z_kl(k: int, ell: int) -> int:
     _check_z_args(k, ell)
     if k > ell or k < min_star_count(ell):
         return 0
+    # Not the enumeration cap's reason (no graph is built): k > 12 means l > 12, where
+    # the word count, which has no work budget, runs far longer than z(9,9)'s ~15 s.
     if k > CYCLE_ENUM_MAX_N:
         raise EnumerationTooLarge(f"z_kl refused for k={k} > {CYCLE_ENUM_MAX_N}")
     return _z_from_word_count(math.factorial(k) * count_canonical_words(k, ell), ell, k)
@@ -193,17 +195,15 @@ class CycleWitness:
 
     @property
     def star_list(self) -> tuple[int, ...]:
+        return tuple((u ^ v).bit_length() - 1 for u, v in self.edge_pairs())
+
+    def edge_pairs(self) -> list[tuple[int, int]]:
+        """The edges as endpoint pairs, smaller first, in cycle order."""
         vs = self.vertices
-        return tuple(
-            (vs[i] ^ vs[(i + 1) % len(vs)]).bit_length() - 1 for i in range(len(vs))
-        )
+        return [(min(u, v), max(u, v)) for u, v in zip(vs, vs[1:] + vs[:1])]
 
     def edge_keys(self) -> list[str]:
-        vs = self.vertices
-        return [
-            edge_key_from_endpoints(vs[i], vs[(i + 1) % len(vs)], self.n)
-            for i in range(len(vs))
-        ]
+        return [edge_key_from_endpoints(u, v, self.n) for u, v in self.edge_pairs()]
 
     def to_json_dict(self) -> dict:
         return {"length": self.length, "vertices": list(self.vertices)}

@@ -12,11 +12,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Subgraph, expand_edges, full_cube, iter_star_vectors
+from .core import Subgraph, edge_pair_masks, full_cube, iter_subcubes, subcube_edges
 from .counting import ambient_count, count_in_subgraph, enumerate_cycle_witnesses
 from .errors import BadRange, BudgetExceeded, CubeError, DimensionTooLarge
-from .patterns import EDGE, SUBCUBE, Pattern
-from .verification import is_c2k_free, is_qk_free
+from .patterns import CYCLE, SUBCUBE, Pattern
+from .verification import is_pattern_free
 
 SEARCH_MAX_N = 4
 EXHAUSTIVE_MAX_N = 3
@@ -42,29 +42,16 @@ class SearchResult:
         }
 
 
-def pattern_copies(n: int, pattern: Pattern) -> list[frozenset[str]]:
-    """Every copy of the pattern in Q_n, as a frozenset of edge keys."""
-    if pattern.kind == EDGE:
-        return [frozenset([e]) for e in full_cube(n).sorted_edges()]
-    if pattern.kind == SUBCUBE:
-        if pattern.order > n:
-            return []
-        return [
-            frozenset(e.cells for e in expand_edges(sv))
-            for sv in iter_star_vectors(n, pattern.order)
-        ]
-    return [
-        frozenset(w.edge_keys())
-        for w in enumerate_cycle_witnesses(full_cube(n), pattern.order)
-    ]
+def pattern_copies(n: int, pattern: Pattern) -> list[frozenset[tuple[int, int]]]:
+    """Every copy of the pattern in Q_n, as a frozenset of edges (u, v), u < v.
 
-
-def _verify_free(g: Subgraph, forbid: Pattern) -> bool:
-    if forbid.kind == EDGE:
-        return g.edge_count == 0
-    if forbid.kind == SUBCUBE:
-        return forbid.order > g.n or is_qk_free(g, forbid.order).free
-    return is_c2k_free(g, forbid.order // 2).free
+    An edge is a Q_1. Subcubes come in `iter_subcubes` order, cycles in DFS order.
+    """
+    if pattern.kind == CYCLE:
+        return [frozenset(w.edge_pairs())
+                for w in enumerate_cycle_witnesses(full_cube(n), pattern.order)]
+    k = pattern.order if pattern.kind == SUBCUBE else 1  # iter_subcubes lists none if k > n
+    return [frozenset(subcube_edges(*pair)) for pair in iter_subcubes(full_cube(n), k)]
 
 
 def exact_extremal(n: int, target: Pattern, forbid: Pattern,
@@ -90,18 +77,14 @@ def exact_extremal(n: int, target: Pattern, forbid: Pattern,
     if ambient == 0:
         raise BadRange(f"target {target} has no copies in Q_{n}")
 
-    # fixed edge order: most target copies first, then lexicographic
-    edges = full_cube(n).sorted_edges()
-    tcopies = pattern_copies(n, target)
-    fcopies = pattern_copies(n, forbid)
-    per_edge = {e: 0 for e in edges}
-    for c in tcopies:
-        for e in c:
-            per_edge[e] += 1
-    edges.sort(key=lambda e: (-per_edge[e], e))
+    # fixed edge order: as the star strings sort ('*' < '0' < '1', position 0
+    # first). Q_n is edge-transitive, so no edge lies in more target copies.
+    edges = sorted(((b, b | s) for s, b in iter_subcubes(full_cube(n), 1)),
+                   key=lambda e: [0 if (e[0] ^ e[1]) >> i & 1 else 1 + (e[0] >> i & 1)
+                                  for i in range(n)])
     eidx = {e: i for i, e in enumerate(edges)}
-    tmasks = sorted(sum(1 << eidx[e] for e in c) for c in tcopies)
-    fmasks = sorted(sum(1 << eidx[e] for e in c) for c in fcopies)
+    tmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, target))
+    fmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, forbid))
 
     if method == "exhaustive":
         value, kept, nodes = _exhaustive(len(edges), tmasks, fmasks)
@@ -110,12 +93,10 @@ def exact_extremal(n: int, target: Pattern, forbid: Pattern,
             len(edges), tmasks, fmasks, budget_nodes, budget_seconds
         )
 
-    witness = Subgraph(
-        n,
-        frozenset(edges[i] for i in range(len(edges)) if kept >> i & 1),
-        name=f"extremal(n={n},target={target},forbid={forbid})",
-    )
-    if not _verify_free(witness, forbid):
+    witness = Subgraph(n, name=f"extremal(n={n},target={target},forbid={forbid})",
+                       masks=edge_pair_masks(e for i, e in enumerate(edges) if kept >> i & 1))
+    # Q_k with k > n cannot occur; any other pattern is re-checked by its own scan
+    if not (forbid.kind == SUBCUBE and forbid.order > n or is_pattern_free(witness, forbid).free):
         raise CubeError("internal error: witness failed re-verification")
     recount = count_in_subgraph(witness, target)
     if recount != value:
@@ -140,7 +121,7 @@ def _branch_and_bound(ne, tmasks, fmasks, budget_nodes, budget_seconds):
     if not fmasks:
         return len(tmasks), all_mask, 1
 
-    deadline = time.monotonic() + budget_seconds if budget_seconds else None
+    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     state = {"nodes": 0, "best": -1, "best_kept": 0}
     open_ubs: list[int] = [len(tmasks)]  # root bound; ancestors push theirs below
 
@@ -166,20 +147,12 @@ def _branch_and_bound(ne, tmasks, fmasks, budget_nodes, budget_seconds):
 
     def dfs(kept: int, deleted: int) -> None:
         state["nodes"] += 1
-        if budget_nodes is not None and state["nodes"] > budget_nodes:
-            raise BudgetExceeded(
-                "node budget exhausted",
-                lower=max(state["best"], 0),
-                upper=max([state["best"]] + open_ubs),
-                nodes_explored=state["nodes"],
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(
-                "time budget exhausted",
-                lower=max(state["best"], 0),
-                upper=max([state["best"]] + open_ubs),
-                nodes_explored=state["nodes"],
-            )
+        spent = ("node" if budget_nodes is not None and state["nodes"] > budget_nodes else
+                 "time" if deadline is not None and time.monotonic() > deadline else None)
+        if spent:
+            raise BudgetExceeded(f"{spent} budget exhausted", lower=max(state["best"], 0),
+                                 upper=max([state["best"]] + open_ubs),
+                                 nodes_explored=state["nodes"])
         prop = propagate(kept, deleted)
         if prop is None:
             return

@@ -6,9 +6,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import StarVector, Subgraph, iter_subcubes
+from .core import StarVector, Subgraph, iter_subcubes, subcube_star_vector
 from .counting import CycleWitness, find_cycle
 from .errors import BadRange, MixedDimensions
+from .patterns import CYCLE, SUBCUBE, Pattern
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,7 @@ def is_qk_free(g: Subgraph, k: int) -> FreenessVerdict:
     others = [p for p in range(g.n) if not stars >> p & 1]
     rank = sum(math.comb(p, i + 1) for i, p in enumerate(pos))
     fill = sum(1 << j for j, p in enumerate(others) if b >> p & 1)
-    cells = "".join("*" if stars >> p & 1 else "01"[b >> p & 1] for p in range(g.n))
-    return FreenessVerdict(False, StarVector(g.n, cells), (rank << (g.n - k)) + fill + 1)
+    return FreenessVerdict(False, subcube_star_vector(g.n, stars, b), (rank << (g.n - k)) + fill + 1)
 
 
 def is_c2k_free(g: Subgraph, k: int) -> FreenessVerdict:
@@ -47,9 +47,18 @@ def is_c2k_free(g: Subgraph, k: int) -> FreenessVerdict:
     if k < 2:
         raise BadRange(f"need k >= 2, got {k}")
     witness, nodes = find_cycle(g, 2 * k)
-    if witness is None:
-        return FreenessVerdict(True, None, nodes)
-    return FreenessVerdict(False, witness, nodes)
+    return FreenessVerdict(witness is None, witness, nodes)
+
+
+def is_pattern_free(g: Subgraph, forbid: Pattern) -> FreenessVerdict:
+    """The verdict for any forbidden pattern: Q_k and C_2k by the scans above, an
+    edge by g's first edge string (checked_count is then the edge count)."""
+    if forbid.kind == SUBCUBE:
+        return is_qk_free(g, forbid.order)
+    if forbid.kind == CYCLE:
+        return is_c2k_free(g, forbid.order // 2)
+    edges = g.sorted_edges()
+    return FreenessVerdict(not edges, StarVector(g.n, edges[0]) if edges else None, g.edge_count)
 
 
 @dataclass(frozen=True)
@@ -63,10 +72,6 @@ class PartiteRepresentation:
 
     def to_json_dict(self) -> dict:
         return {"ell": self.ell, "k": self.k, "sigma": list(self.sigma)}
-
-
-def _nonzero_positions(sv: StarVector) -> tuple[int, ...]:
-    return tuple(i for i, c in enumerate(sv.cells) if c != "0")
 
 
 def has_k_partite_representation(edges, k: int) -> PartiteRepresentation | None:
@@ -88,7 +93,7 @@ def has_k_partite_representation(edges, k: int) -> PartiteRepresentation | None:
             raise MixedDimensions(f"edges mix dimensions {ell} and {sv.n}")
         if sv.k != 1:
             raise BadRange(f"{sv.cells!r} is not an edge")
-    supports = [_nonzero_positions(sv) for sv in edges]
+    supports = [tuple(i for i, c in enumerate(sv.cells) if c != "0") for sv in edges]
     if any(len(s) != k for s in supports):
         return None
     used = sorted({p for s in supports for p in s})

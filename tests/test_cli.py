@@ -125,6 +125,14 @@ def test_budget_exit_3():
     assert int(blob["lower"]) <= 21 <= int(blob["upper"])
 
 
+def test_zero_time_budget_exit_3():
+    # a zero budget is a budget, not "no budget": the search stops at once
+    proc = run_cli("search", "--n", "4", "--target", "c8", "--forbid", "c4",
+                   "--budget-seconds", "0")
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr)["error"] == "BudgetExceeded"
+
+
 def test_internal_limit_exit_4(tmp_path):
     path = tmp_path / "big.cube"
     path.write_text("cube v1 n=13\n" + "*" + "0" * 12 + "\n")

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import closed_walk_count, random_automorphism, random_subgraph
+from helpers import brute_cycle_edge_sets, closed_walk_count, random_automorphism, random_subgraph
 
 from cubeturan import __version__
 from cubeturan.cli import main
@@ -217,6 +217,17 @@ def test_enumerate_matches_count_and_find():
         assert first == min(witnesses, key=lambda w: w.vertices)
     empty, nodes = find_cycle(Subgraph(3, frozenset()), 4)
     assert empty is None and nodes == 0
+
+
+@pytest.mark.parametrize("g", [full_cube(3), random_subgraph(5, 0.7, random.Random(5))],
+                         ids=["Q3", "random-Q5"])
+def test_enumerated_witnesses_match_brute_edge_sets(g):
+    # the package's count and its witness list share one DFS under CUBETURAN_PURE=1,
+    # so the witnesses are also checked against an oracle that shares none of it
+    for length in (4, 6, 8):
+        got = {frozenset(frozenset(e) for e in w.edge_pairs())
+               for w in enumerate_cycle_witnesses(g, length)}
+        assert got == brute_cycle_edge_sets(g, length)
 
 
 def test_ztable_cache_round_trip(tmp_path):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubeturan.core import full_cube
-from cubeturan.counting import count_in_subgraph
+from cubeturan.core import edge_endpoints, full_cube
+from cubeturan.counting import ambient_count, count_in_subgraph
 from cubeturan.errors import BadRange, BudgetExceeded, DimensionTooLarge
 from cubeturan.patterns import Pattern, parse_pattern
 from cubeturan.search import (
@@ -101,7 +101,7 @@ def test_deterministic_results():
 def q4_restart_with_reversed_order(target, forbid):
     """Independent restart: same instance, reversed edge order."""
     edges = sorted(full_cube(4).edges, reverse=True)
-    eidx = {e: i for i, e in enumerate(edges)}
+    eidx = {edge_endpoints(e): i for i, e in enumerate(edges)}
     tmasks = [sum(1 << eidx[e] for e in c) for c in pattern_copies(4, target)]
     fmasks = [sum(1 << eidx[e] for e in c) for c in pattern_copies(4, forbid)]
     value, _, _ = _branch_and_bound(len(edges), tmasks, fmasks, None, None)
@@ -153,3 +153,20 @@ def test_density_non_increasing_in_dimension_for_subcube_targets():
         3, parse_pattern("e"), parse_pattern("c4"))
     assert density(4, parse_pattern("q2"), parse_pattern("q3")) <= density(
         3, parse_pattern("q2"), parse_pattern("q3"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pattern_copies_match_closed_form_and_cover_edges_evenly(n):
+    edges = {edge_endpoints(e) for e in full_cube(n).edges}
+    for text in ("e", "q1", "q2", "q3", "q4", "c4", "c6", "c8"):
+        p = parse_pattern(text)
+        copies = pattern_copies(n, p)
+        assert len(copies) == len(set(copies)) == ambient_count(n, p), (n, text)
+        size = {"edge": 1, "subcube": p.order << (p.order - 1), "cycle": p.order}[p.kind]
+        assert all(len(c) == size and c <= edges for c in copies), (n, text)
+        # Q_n is edge-transitive: every edge lies in equally many copies
+        per_edge = {e: 0 for e in edges}
+        for c in copies:
+            for e in c:
+                per_edge[e] += 1
+        assert len(set(per_edge.values())) == 1, (n, text)

@@ -27,8 +27,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import ZTable, min_star_count
 from .errors import BadRange, BadTheoremId, MissingParam
+from .zwords import min_star_count
 
 LOWER = "lower"
 UPPER = "upper"
@@ -73,8 +73,6 @@ def _need(params: dict, *names: str) -> list[int]:
 def _zll(z, ell: int) -> int:
     if z is None:
         raise MissingParam("a z-table is required (z_{l,l} appears in the bound)")
-    if isinstance(z, ZTable):
-        return z.get(ell, ell)
     try:
         return z[ell, ell]
     except KeyError:
@@ -113,6 +111,8 @@ def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> B
 
     if tid == "T2":
         (n,) = _need(params, "n")
+        if n < 1:
+            raise BadRange(f"T2 needs n >= 1, got {n}")
         if side == LOWER:
             return BoundValue(tid, side, params, "1/(4*n)",
                               Fraction(1, 4 * n), asymptotic=True)
@@ -143,8 +143,9 @@ def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> B
         if side == LOWER:
             (n,) = _need(params, "n")
             m = min_star_count(k) - 1  # ceil(log2(2k)) - 1
-            if ell > m:
-                raise BadRange(f"T4 lower needs l <= ceil(log2(2k))-1 = {m}")
+            if not ell <= min(m, n):
+                raise BadRange(f"T4 lower needs l <= n and l <= ceil(log2(2k))-1 = {m}, "
+                               f"got n={n}, l={ell}")
             return BoundValue(tid, side, params, "C(m,l)/C(n,l) with m = ceil(log2(2k))-1",
                               Fraction(math.comb(m, ell), math.comb(n, ell)),
                               asymptotic=False)
@@ -180,6 +181,8 @@ def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> B
             raise BadRange(f"T7 needs k >= 4, k != 5, l >= 2, l != k, got l={ell}, k={k}")
         if side == LOWER:
             (n,) = _need(params, "n")
+            if n < ell:
+                raise BadRange(f"T7 lower needs n >= l, got n={n}, l={ell}")
             zll = _zll(z, ell)
             val = Fraction(1 << (ell - min_star_count(ell)),
                            math.comb(n, ell) * zll)
@@ -211,15 +214,12 @@ def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> B
 
 
 def bound_sandwich_report(theorem: str, params: dict | None = None, z=None,
-                          exact=None, exact_label: str = "exact") -> dict:
-    """Line up a bound's two sides against a measured density.
+                          exact: Fraction | None = None) -> dict:
+    """Line up a bound's two sides against a measured density `exact`.
 
-    `exact` may be a Fraction or anything with a `.density` attribute (a
-    search result).  Asymptotic sides are advisory: a finite-n violation is
-    reported but not an error.  Symbolic sides are listed as such.
+    Asymptotic sides are advisory: a finite-n violation is reported but not
+    an error.  Symbolic sides are listed as such.
     """
-    if exact is not None and hasattr(exact, "density"):
-        exact = exact.density
     report: dict = {"theorem": theorem.upper(), "params": dict(params or {}),
                     "comparisons": [], "notes": []}
     for side in (LOWER, UPPER):
@@ -237,7 +237,7 @@ def bound_sandwich_report(theorem: str, params: dict | None = None, z=None,
             continue
         holds = exact >= bv.value if side == LOWER else exact <= bv.value
         entry = {
-            "comparison": f"{side} <= {exact_label}" if side == LOWER else f"{exact_label} <= {side}",
+            "comparison": f"{side} <= exact" if side == LOWER else f"exact <= {side}",
             "holds": holds,
             "advisory": bv.asymptotic,
         }
@@ -245,5 +245,5 @@ def bound_sandwich_report(theorem: str, params: dict | None = None, z=None,
             entry["note"] = "asymptotic bound; advisory only at finite n"
         report["comparisons"].append(entry)
     if exact is not None:
-        report[exact_label] = {"num": str(exact.numerator), "den": str(exact.denominator)}
+        report["exact"] = {"num": str(exact.numerator), "den": str(exact.denominator)}
     return report

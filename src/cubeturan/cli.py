@@ -21,6 +21,7 @@ from .constructions import KINDS, ConstructionSpec
 from .core import StarVector, load_subgraph, save_subgraph
 from .counting import ZTable, count_report
 from .errors import (
+    BadRange,
     BudgetExceeded,
     CubeError,
     DimensionTooLarge,
@@ -162,10 +163,11 @@ def _cmd_density(args):
 
 
 def _parse_exact(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+    try:
+        num, _, den = text.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise BadRange(f"--exact needs NUM/DEN or a decimal, got {text!r}") from None
 
 
 def _cmd_bounds(args):

@@ -342,8 +342,11 @@ def save_subgraph(g: Subgraph, path) -> None:
 
 
 def load_subgraph(path) -> Subgraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text at byte {exc.start}") from None
     if not raw or not raw[0].startswith(FILE_MAGIC):
         raise ParseError(f"missing `{FILE_MAGIC}` header", line=1)
     header = raw[0][len(FILE_MAGIC):].strip()

@@ -25,7 +25,7 @@ from .errors import (
     MissingZEntry,
 )
 from .patterns import CYCLE, EDGE, SUBCUBE, Pattern
-from .zwords import _z_from_word_count, count_canonical_words
+from .zwords import min_star_count, z_kl
 
 #: cycle enumeration starts a DFS at each of the 2^n vertices, over 2^n-entry
 #: mask and in-path tables; beyond this n it is refused
@@ -46,60 +46,32 @@ def closed_count_edges(n: int) -> int:
     return n << (n - 1)
 
 
-def min_star_count(ell: int) -> int:
-    """Least k such that Q_k can host a 2l-cycle: ceil(log2(2l))."""
-    return (2 * ell - 1).bit_length()
-
-
 def closed_count_c2l(n: int, ell: int, z) -> int:
     """N(Q_n, C_2l) = sum over k of C(n,k) * 2^(n-k) * z_{k,l}.
 
-    k runs from ceil(log2(2l)) to min(l, n). `z` may be a plain mapping
-    (missing entries raise MissingZEntry) or a ZTable (computes on demand).
+    k runs from ceil(log2(2l)) to min(l, n). `z` is indexed z[k, l]: a plain
+    mapping (missing entries raise MissingZEntry) or a ZTable (computes on demand).
     """
     if n < 1 or ell < 2 or ell > 1 << (n - 1):
         raise BadRange(f"need 2 <= l <= 2^(n-1), got n={n}, l={ell}")
     total = 0
     for k in range(min_star_count(ell), min(ell, n) + 1):
-        if isinstance(z, ZTable):
-            zk = z.get(k, ell)
-        else:
-            try:
-                zk = z[k, ell]
-            except KeyError:
-                raise MissingZEntry(f"no z entry for (k={k}, l={ell})") from None
+        try:
+            zk = z[k, ell]
+        except KeyError:
+            raise MissingZEntry(f"no z entry for (k={k}, l={ell})") from None
         total += math.comb(n, k) * (1 << (n - k)) * zk
     return total
 
 
-def _check_z_args(k: int, ell: int) -> None:
-    if k < 1 or ell < 2:
-        raise BadRange(f"need k >= 1 and l >= 2, got k={k}, l={ell}")
-
-
-def z_kl(k: int, ell: int) -> int:
-    """Number of 2l-cycles in Q_k whose edges use all k star positions.
-
-    Zero exactly when k > l or k < ceil(log2(2l)); otherwise k! * 2^k / 4l
-    times zwords.count_canonical_words(k, l).
-    """
-    _check_z_args(k, ell)
-    if k > ell or k < min_star_count(ell):
-        return 0
-    # Not the enumeration cap's reason (no graph is built): k > 12 means l > 12, where
-    # the word count, which has no work budget, runs far longer than z(9,9)'s ~15 s.
-    if k > CYCLE_ENUM_MAX_N:
-        raise EnumerationTooLarge(f"z_kl refused for k={k} > {CYCLE_ENUM_MAX_N}")
-    return _z_from_word_count(math.factorial(k) * count_canonical_words(k, ell), ell, k)
-
-
 class ZTable:
-    """Memoized z_{k,l} values with optional text-file persistence.
+    """Memoized zwords.z_kl values with optional text-file persistence.
 
     File lines are `z <k> <l> <value>`; a `# cubeturan-ztable <version>`
-    header keys the cache to the tool version. A cache with another version
-    or a malformed line is stale: it is ignored and rewritten on the next
-    save, which replaces the file atomically.
+    header keys the cache to the tool version. A cache of another version, or
+    with a malformed line or bytes that are not UTF-8, is stale: it is ignored
+    and rewritten on the next save, which replaces the file atomically. Zeros
+    are never stored.
     """
 
     HEADER = "# cubeturan-ztable"
@@ -111,8 +83,11 @@ class ZTable:
             self._load(path)
 
     def _load(self, path) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            return  # not even text: recompute rather than trust it
         if not lines or lines[0].strip() != f"{self.HEADER} {__version__}":
             return  # stale or foreign cache: recompute rather than trust it
         values = {}
@@ -125,8 +100,8 @@ class ZTable:
             values[int(parts[1]), int(parts[2])] = int(parts[3])
         self._values = values
 
-    def save(self, path=None) -> None:
-        path = path or self.path
+    def save(self) -> None:
+        path = self.path
         if path is None:
             return
         lines = [f"{self.HEADER} {__version__}"]
@@ -141,13 +116,13 @@ class ZTable:
             raise
 
     def get(self, k: int, ell: int) -> int:
-        _check_z_args(k, ell)
-        if k > ell or k < min_star_count(ell):
-            return 0
-        if (k, ell) not in self._values:
-            self._values[k, ell] = z_kl(k, ell)
+        if (k, ell) not in self._values and (value := z_kl(k, ell)):
+            self._values[k, ell] = value
             self.save()
-        return self._values[k, ell]
+        return self._values.get((k, ell), 0)
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        return self.get(*key)
 
     def __contains__(self, key) -> bool:
         return key in self._values
@@ -228,7 +203,7 @@ def count_cycles(g: Subgraph, length: int, threads: int = 1) -> int:
     work: by DFS node counts on Q_7, Q_8, conder(10), conder(12) and a random
     Q_9 subgraph with T = 2, 4, 8, the busiest thread gets at most 9% over
     an even share this way, against 31% with 4T contiguous ranges and 63%
-    with the T classes mod T.
+    with the T classes mod T. At most os.cpu_count() threads are started.
     """
     _check_cycle_args(g, length)
     if length > 1 << g.n:
@@ -236,7 +211,7 @@ def count_cycles(g: Subgraph, length: int, threads: int = 1) -> int:
     if threads <= 1:
         return count_cycles_kernel(g, length)
     parts = 4 * threads
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         return sum(pool.map(lambda i: count_cycles_kernel(g, length, i, parts), range(parts)))
 
 

@@ -70,9 +70,6 @@ class PartiteRepresentation:
     k: int
     sigma: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"ell": self.ell, "k": self.k, "sigma": list(self.sigma)}
-
 
 def has_k_partite_representation(edges, k: int) -> PartiteRepresentation | None:
     """Find sigma: positions -> {1..k} giving every edge k distinctly-colored

@@ -22,21 +22,31 @@ from typing import Iterator
 
 from .errors import BadRange, EnumerationTooLarge, NonIntegralResult
 
-#: the word count recurses once per letter, 2l deep; no l near this finishes
+#: the word count has no work budget; it recurses once per letter, 2l deep, and
+#: its work grows factorially in k: no run beyond these bounds finishes
+MAX_WORD_K = 12
 MAX_WORD_L = 256
 
 
-def _check_ell(ell: int) -> None:
-    if ell < 2:
-        raise BadRange(f"need l >= 2, got {ell}")
+def _check_z_args(k: int, ell: int) -> None:
+    if k < 1 or ell < 2:
+        raise BadRange(f"need k >= 1 and l >= 2, got k={k}, l={ell}")
+
+
+def min_star_count(ell: int) -> int:
+    """Least k such that Q_k can host a 2l-cycle: ceil(log2(2l))."""
+    return (2 * ell - 1).bit_length()
 
 
 def count_canonical_words(k: int, ell: int) -> int:
     """Star words of 2l-cycles in Q_k using all k symbols, in first-occurrence
     canonical form; relabeling acts freely, so k! times this counts all words.
+
+    Every z route counts here, so this is the one z refusal: k > 12 or l > 256.
     """
-    if ell > MAX_WORD_L:
-        raise EnumerationTooLarge(f"word count refused for l={ell} > {MAX_WORD_L}")
+    if k > MAX_WORD_K or ell > MAX_WORD_L:
+        raise EnumerationTooLarge(
+            f"word count refused for k={k}, l={ell}: needs k <= {MAX_WORD_K}, l <= {MAX_WORD_L}")
     seen = {0}  # prefix masks on the current branch
     bits = [1 << s for s in range(k)]
 
@@ -73,7 +83,7 @@ def count_canonical_words(k: int, ell: int) -> int:
 
 def iter_z_words(ell: int) -> Iterator[tuple[int, ...]]:
     """All of Z(l), lexicographically. Beware: |Z(l)| grows factorially."""
-    _check_ell(ell)
+    _check_z_args(ell, ell)
     L = 2 * ell
     word = [0] * L
     counts = [0] * (ell + 1)
@@ -108,7 +118,7 @@ def count_z_words(ell: int) -> int:
     Every word of Z(l) uses all l symbols, each exactly twice, so |Z(l)| is
     l! times count_canonical_words(l, l).
     """
-    _check_ell(ell)
+    _check_z_args(ell, ell)
     return math.factorial(ell) * count_canonical_words(ell, ell)
 
 
@@ -121,6 +131,18 @@ def _z_from_word_count(count: int, ell: int, k: int | None = None) -> int:
             f"{count} words * 2^{k} = {num} is not divisible by {4 * ell}"
         )
     return num // (4 * ell)
+
+
+def z_kl(k: int, ell: int) -> int:
+    """Number of 2l-cycles in Q_k whose edges use all k star positions.
+
+    Zero exactly when k > l or k < ceil(log2(2l)); otherwise k! * 2^k / 4l
+    times count_canonical_words(k, l).
+    """
+    _check_z_args(k, ell)
+    if k > ell or k < min_star_count(ell):
+        return 0
+    return _z_from_word_count(math.factorial(k) * count_canonical_words(k, ell), ell, k)
 
 
 def z_ll_via_words(ell: int, allow_small: bool = False) -> int:

@@ -44,6 +44,8 @@ def test_t2():
     assert eval_bound("T2", "upper", {"n": 10}).value == Fraction("0.36578") / 10
     with pytest.raises(MissingParam):
         eval_bound("T2", "lower", {})
+    with pytest.raises(BadRange):
+        eval_bound("T2", "lower", {"n": 0})
 
 
 def test_t3():
@@ -70,6 +72,8 @@ def test_t4():
     assert up.value is None and up.unresolved == ("c_k",)
     with pytest.raises(BadRange):
         eval_bound("T4", "lower", {"l": 2, "k": 5, "n": 6})
+    with pytest.raises(BadRange):
+        eval_bound("T4", "lower", {"l": 2, "k": 4, "n": 1})  # C(n, l) = 0
 
 
 def test_t5():
@@ -98,6 +102,8 @@ def test_t7():
     assert bv.value == Fraction(2 ** (4 - 3), math.comb(10, 4) * 648)
     with pytest.raises(BadRange):
         eval_bound("T7", "lower", {"l": 4, "k": 4, "n": 10}, z=z)
+    with pytest.raises(BadRange):
+        eval_bound("T7", "lower", {"l": 4, "k": 6, "n": 2}, z=z)  # C(n, l) = 0
 
 
 def test_a6():

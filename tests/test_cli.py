@@ -88,6 +88,13 @@ def test_bounds_verbs():
     proc = run_cli("bounds", "--theorem", "t6", "--exact", "3/16")
     blob = json.loads(proc.stdout)
     assert blob["exact"] == {"num": "3", "den": "16"}
+    for argv in (("--theorem", "t6", "--exact", "1/0"), ("--theorem", "t6", "--exact", "abc"),
+                 ("--theorem", "t2", "--n", "0"),
+                 ("--theorem", "t4", "--side", "lower", "--n", "1", "--l", "2", "--k", "4"),
+                 ("--theorem", "t7", "--side", "lower", "--n", "2", "--l", "4", "--k", "6")):
+        proc = run_cli("bounds", *argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "BadRange"
 
 
 def test_kpartite_verb(tmp_path):
@@ -191,7 +198,9 @@ def test_zl_reports_the_word_method():
 
 
 @pytest.mark.parametrize("argv", [("zl", "--l", "600", "--k", "12"),
-                                  ("zwords", "--l", "600", "--count-only")])
+                                  ("zwords", "--l", "600", "--count-only"),
+                                  ("zl", "--l", "13"), ("zl", "--l", "13", "--method", "words"),
+                                  ("zwords", "--l", "13", "--count-only")])
 def test_word_count_refuses_huge_l_with_exit_4(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 4

@@ -223,6 +223,9 @@ def test_load_rejects_bad_edge(tmp_path):
     path.write_text("not a header\n")
     with pytest.raises(ParseError):
         load_subgraph(path)
+    path.write_bytes(b"cube v1 n=3\n\xff0*\n")
+    with pytest.raises(ParseError):
+        load_subgraph(path)
 
 
 def test_load_ignores_comments_and_blanks(tmp_path):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from helpers import brute_cycle_edge_sets, closed_walk_count, random_automorphism, random_subgraph
 
-from cubeturan import __version__
+from cubeturan import __version__, counting
 from cubeturan.cli import main
 from cubeturan.core import Subgraph, apply_automorphism, full_cube
 from cubeturan.counting import (
@@ -110,6 +110,20 @@ def test_count_cycles_threads_do_not_change_totals():
     for length in (4, 6, 8):
         base = count_cycles(g, length, threads=1)
         assert count_cycles(g, length, threads=4) == base
+
+
+def test_count_cycles_starts_at_most_cpu_count_threads(monkeypatch):
+    started = []
+
+    class Spy(counting.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", Spy)
+    assert count_cycles(full_cube(3), 4, threads=64) == 6
+    assert started == [2]
 
 
 def test_count_copies_qk():
@@ -270,6 +284,16 @@ def test_cli_recovers_from_truncated_z_cache(tmp_path):
     assert "z 4 4 648" in path.read_text()
 
 
+def test_cli_recovers_from_undecodable_z_cache(tmp_path):
+    path = tmp_path / "z.cache"
+    path.write_bytes(b"\xff\xfe not a z-table\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["zl", "--l", "4", "--z-cache", str(path)]) == 0
+    assert json.loads(out.getvalue())["value"] == "648"
+    assert path.read_text() == f"# cubeturan-ztable {__version__}\nz 4 4 648\n"
+
+
 def test_ztable_failed_write_keeps_old_cache(tmp_path, monkeypatch):
     path = tmp_path / "z.cache"
     ZTable(path).get(3, 3)
@@ -320,3 +344,5 @@ def test_ztable_get_validates_before_the_zero_range(tmp_path):
             table.get(k, ell)
     assert (0, 0) not in table and not path.exists()
     assert table.get(5, 4) == 0 and table.get(2, 4) == 0  # valid but vanishing
+    assert table.get(3, 300) == 0  # vanishing beyond the word count's refusal
+    assert not path.exists()  # zeros stay out of the file

@@ -1,34 +1,49 @@
-"""ctypes binding of the compiled cycle kernel, cycle_dfs.c.
+"""ctypes binding of the compiled kernels in kernels.c: the cycle DFS and the
+branch-and-bound.
 
-Importing raises ImportError when the library is not built or does not load.
+Importing raises ImportError when the library is not built, does not load or
+lacks either symbol, so both kernels fall back to their pure twins together.
 ctypes releases the interpreter lock around every call, so threads counting
-disjoint start residues run the kernel in parallel.
+disjoint start residues run the cycle kernel in parallel.
 """
 
 import ctypes
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
+from ..errors import BudgetExceeded
+
 
 def _load():
     here = os.path.dirname(os.path.abspath(__file__))
     for suffix in EXTENSION_SUFFIXES:
-        path = os.path.join(here, "cycle_dfs" + suffix)
+        path = os.path.join(here, "kernels" + suffix)
         if os.path.exists(path):
             try:
-                return ctypes.CDLL(path).cycle_dfs
+                lib = ctypes.CDLL(path)
+                return lib.cycle_dfs, lib.bb_search
             except (OSError, AttributeError) as exc:
                 raise ImportError(f"cannot load {path}: {exc}") from exc
-    raise ImportError("compiled cycle kernel not built")
+    raise ImportError("compiled kernels not built")
 
 
-_dfs = _load()
+_dfs, _bb = _load()
 _dfs.restype = ctypes.c_longlong
 _dfs.argtypes = (
     ctypes.POINTER(ctypes.c_uint32), ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
     ctypes.c_int, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_uint32),
     ctypes.POINTER(ctypes.c_ubyte), ctypes.POINTER(ctypes.c_longlong),
 )
+_bb.restype = ctypes.c_int
+_bb.argtypes = (
+    ctypes.c_int, ctypes.POINTER(ctypes.c_uint64), ctypes.c_int, ctypes.POINTER(ctypes.c_uint64),
+    ctypes.c_int, ctypes.c_longlong, ctypes.c_int, ctypes.c_double,
+    ctypes.POINTER(ctypes.c_longlong), ctypes.POINTER(ctypes.c_uint64),
+)
+
+MAX_BB_EDGES = 128
+_LOW = (1 << 64) - 1
+_NO_NODE_BUDGET = (1 << 63) - 1
 
 
 def _run(g, length, start, step, first):
@@ -56,3 +71,27 @@ def find_cycle_kernel(g, length):
     """(first canonical cycle as a vertex tuple | None, nodes); see _cycles_py."""
     found, path, nodes = _run(g, length, 0, 1, 1)
     return (tuple(path) if found else None), nodes
+
+
+def _pairs(masks):
+    return (ctypes.c_uint64 * (2 * len(masks)))(*[w for m in masks for w in (m & _LOW, m >> 64)])
+
+
+def bb_search_kernel(ne, tmasks, fmasks, budget_nodes, budget_seconds):
+    """(value, kept mask, nodes) of search._branch_and_bound_py's search, or its
+    BudgetExceeded with the same bounds and node count."""
+    if not fmasks or ne > MAX_BB_EDGES or max([*tmasks, *fmasks]) >> ne:
+        raise ValueError(f"bad kernel call: {ne} edges (at most {MAX_BB_EDGES}), "
+                         f"{len(fmasks)} forbidden copies (at least 1), masks within the edges")
+    out = (ctypes.c_longlong * 4)()
+    kept = (ctypes.c_uint64 * 2)()
+    spent = _bb(ne, _pairs(tmasks), len(tmasks), _pairs(fmasks), len(fmasks),
+                _NO_NODE_BUDGET if budget_nodes is None else min(max(budget_nodes, 0), _NO_NODE_BUDGET),
+                budget_seconds is not None, budget_seconds or 0.0, out, kept)
+    if spent < 0:
+        raise MemoryError("bb_search could not copy the masks")
+    value, nodes, lower, upper = out
+    if spent:
+        raise BudgetExceeded(f"{'node' if spent == 1 else 'time'} budget exhausted",
+                             lower=lower, upper=upper, nodes_explored=nodes)
+    return value, kept[0] | kept[1] << 64, nodes

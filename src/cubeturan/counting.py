@@ -25,7 +25,7 @@ from .errors import (
     MissingZEntry,
 )
 from .patterns import CYCLE, EDGE, SUBCUBE, Pattern
-from .zwords import min_star_count, z_kl
+from .zwords import min_star_count, z_kl, z_positive
 
 #: cycle enumeration starts a DFS at each of the 2^n vertices, over 2^n-entry
 #: mask and in-path tables; beyond this n it is refused
@@ -69,9 +69,10 @@ class ZTable:
 
     File lines are `z <k> <l> <value>`; a `# cubeturan-ztable <version>`
     header keys the cache to the tool version. A cache of another version, or
-    with a malformed line or bytes that are not UTF-8, is stale: it is ignored
-    and rewritten on the next save, which replaces the file atomically. Zeros
-    are never stored.
+    with a malformed line, a line whose key z never stores (see
+    zwords.z_positive) or a zero value, or bytes that are not UTF-8, is stale:
+    it is ignored and rewritten on the next save, which replaces the file
+    atomically. Zeros are never stored.
     """
 
     HEADER = "# cubeturan-ztable"
@@ -97,7 +98,10 @@ class ZTable:
                 continue
             if len(parts) != 4 or parts[0] != "z" or not "".join(parts[1:]).isdecimal():
                 return  # truncated or corrupt: recompute rather than trust any of it
-            values[int(parts[1]), int(parts[2])] = int(parts[3])
+            k, ell, value = map(int, parts[1:])
+            if not (z_positive(k, ell) and value > 0):
+                return  # a key z never stores: as corrupt as a malformed line
+            values[k, ell] = value
         self._values = values
 
     def save(self) -> None:

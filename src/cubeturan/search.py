@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._kernels import bb_search_kernel
 from .core import Subgraph, edge_pair_masks, full_cube, iter_subcubes, subcube_edges
 from .counting import ambient_count, count_in_subgraph, enumerate_cycle_witnesses
 from .errors import BadRange, BudgetExceeded, CubeError, DimensionTooLarge
@@ -54,6 +55,20 @@ def pattern_copies(n: int, pattern: Pattern) -> list[frozenset[tuple[int, int]]]
     return [frozenset(subcube_edges(*pair)) for pair in iter_subcubes(full_cube(n), k)]
 
 
+def search_instance(n: int, target: Pattern, forbid: Pattern):
+    """(edges of Q_n in the search's fixed order, target copies, forbidden copies),
+    each copy an edge mask over that order, the masks sorted."""
+    # fixed edge order: as the star strings sort ('*' < '0' < '1', position 0
+    # first). Q_n is edge-transitive, so no edge lies in more target copies.
+    edges = sorted(((b, b | s) for s, b in iter_subcubes(full_cube(n), 1)),
+                   key=lambda e: [0 if (e[0] ^ e[1]) >> i & 1 else 1 + (e[0] >> i & 1)
+                                  for i in range(n)])
+    eidx = {e: i for i, e in enumerate(edges)}
+    tmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, target))
+    fmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, forbid))
+    return edges, tmasks, fmasks
+
+
 def exact_extremal(n: int, target: Pattern, forbid: Pattern,
                    budget_nodes: int | None = None,
                    budget_seconds: float | None = None,
@@ -77,15 +92,7 @@ def exact_extremal(n: int, target: Pattern, forbid: Pattern,
     if ambient == 0:
         raise BadRange(f"target {target} has no copies in Q_{n}")
 
-    # fixed edge order: as the star strings sort ('*' < '0' < '1', position 0
-    # first). Q_n is edge-transitive, so no edge lies in more target copies.
-    edges = sorted(((b, b | s) for s, b in iter_subcubes(full_cube(n), 1)),
-                   key=lambda e: [0 if (e[0] ^ e[1]) >> i & 1 else 1 + (e[0] >> i & 1)
-                                  for i in range(n)])
-    eidx = {e: i for i, e in enumerate(edges)}
-    tmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, target))
-    fmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, forbid))
-
+    edges, tmasks, fmasks = search_instance(n, target, forbid)
     if method == "exhaustive":
         value, kept, nodes = _exhaustive(len(edges), tmasks, fmasks)
     else:
@@ -117,10 +124,19 @@ def _exhaustive(ne: int, tmasks, fmasks) -> tuple[int, int, int]:
 
 
 def _branch_and_bound(ne, tmasks, fmasks, budget_nodes, budget_seconds):
-    all_mask = (1 << ne) - 1
+    """(most target copies in a kept edge set that breaks every forbidden copy,
+    that kept set as a mask, nodes explored); BudgetExceeded when a budget runs
+    out. Runs kernels.c's bb_search when it is loaded, else the pure twin."""
     if not fmasks:
-        return len(tmasks), all_mask, 1
+        return len(tmasks), (1 << ne) - 1, 1
+    run = bb_search_kernel or _branch_and_bound_py
+    return run(ne, tmasks, fmasks, budget_nodes, budget_seconds)
 
+
+def _branch_and_bound_py(ne, tmasks, fmasks, budget_nodes, budget_seconds):
+    """Pure twin of bb_search in kernels.c: the same nodes, in the same order,
+    and the same bounds on a budget stop (needs at least one forbidden copy)."""
+    all_mask = (1 << ne) - 1
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     state = {"nodes": 0, "best": -1, "best_kept": 0}
     open_ubs: list[int] = [len(tmasks)]  # root bound; ancestors push theirs below
@@ -148,7 +164,7 @@ def _branch_and_bound(ne, tmasks, fmasks, budget_nodes, budget_seconds):
     def dfs(kept: int, deleted: int) -> None:
         state["nodes"] += 1
         spent = ("node" if budget_nodes is not None and state["nodes"] > budget_nodes else
-                 "time" if deadline is not None and time.monotonic() > deadline else None)
+                 "time" if deadline is not None and time.monotonic() >= deadline else None)
         if spent:
             raise BudgetExceeded(f"{spent} budget exhausted", lower=max(state["best"], 0),
                                  upper=max([state["best"]] + open_ubs),

@@ -38,6 +38,12 @@ def min_star_count(ell: int) -> int:
     return (2 * ell - 1).bit_length()
 
 
+def z_positive(k: int, ell: int) -> bool:
+    """z_{k,l} > 0 exactly for l >= 2 and ceil(log2(2l)) <= k <= l (so k >= 2):
+    the only keys a z-table stores, and outside them z_kl returns 0 or refuses."""
+    return ell >= 2 and min_star_count(ell) <= k <= ell
+
+
 def count_canonical_words(k: int, ell: int) -> int:
     """Star words of 2l-cycles in Q_k using all k symbols, in first-occurrence
     canonical form; relabeling acts freely, so k! times this counts all words.
@@ -140,7 +146,7 @@ def z_kl(k: int, ell: int) -> int:
     times count_canonical_words(k, l).
     """
     _check_z_args(k, ell)
-    if k > ell or k < min_star_count(ell):
+    if not z_positive(k, ell):
         return 0
     return _z_from_word_count(math.factorial(k) * count_canonical_words(k, ell), ell, k)
 

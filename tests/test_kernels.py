@@ -11,6 +11,9 @@ from helpers import random_subgraph
 import cubeturan
 from cubeturan._kernels import _cycles_py, backend_name
 from cubeturan.core import full_cube
+from cubeturan.errors import BudgetExceeded
+from cubeturan.patterns import parse_pattern
+from cubeturan.search import _branch_and_bound_py, search_instance
 
 try:
     from cubeturan._kernels import _cycles_c
@@ -41,6 +44,26 @@ def _agree(g, lengths):
                 == _cycles_c.count_cycles_kernel(g, length)), (g, length)
         assert (_cycles_py.find_cycle_kernel(g, length)
                 == _cycles_c.find_cycle_kernel(g, length)), (g, length)
+
+
+def _bb_outcome(bb, ne, tmasks, fmasks, budget_nodes=None):
+    """(value, kept, nodes) of one search, or the bounds and nodes of its budget stop."""
+    try:
+        return bb(ne, tmasks, fmasks, budget_nodes, None)
+    except BudgetExceeded as exc:
+        return "budget", exc.lower, exc.upper, exc.nodes_explored
+
+
+def _bb_agree(n, target, forbid, budget_nodes=None, reverse=False):
+    edges, tmasks, fmasks = search_instance(n, parse_pattern(target), parse_pattern(forbid))
+    if reverse:  # the same instance with the edge order reversed
+        top = len(edges) - 1
+        tmasks, fmasks = ([sum(1 << top - i for i in range(top + 1) if m >> i & 1) for m in ms]
+                          for ms in (tmasks, fmasks))
+    pure = _bb_outcome(_branch_and_bound_py, len(edges), tmasks, fmasks, budget_nodes)
+    assert _bb_outcome(_cycles_c.bb_search_kernel, len(edges), tmasks, fmasks,
+                       budget_nodes) == pure, (n, target, forbid, reverse)
+    return pure
 
 
 def test_some_backend_is_active():
@@ -94,3 +117,52 @@ def test_start_range_partition_sums_to_total():
     total = _cycles_py.count_cycles_kernel(g, 6)
     for step in (2, 4, 5):
         assert sum(_cycles_py.count_cycles_kernel(g, 6, i, step) for i in range(step)) == total
+
+
+BB_PATTERNS = ("e", "q1", "q2", "q3", "c4", "c6", "c8")
+
+
+@needs_compiled
+def test_branch_and_bound_backends_agree_at_n3():
+    pairs = [(t, f) for t in BB_PATTERNS for f in BB_PATTERNS if t != f]
+    assert len(pairs) == 42
+    for target, forbid in pairs:
+        _bb_agree(3, target, forbid)
+
+
+@needs_compiled
+@pytest.mark.parametrize("target,forbid", [
+    ("e", "c6"), ("c4", "c6"), ("c8", "c4"), ("e", "c4"), ("q2", "q3"),
+])
+def test_branch_and_bound_backends_agree_at_n4(target, forbid):
+    _bb_agree(4, target, forbid)
+
+
+@needs_compiled
+@pytest.mark.parametrize("target,forbid", [("e", "c4"), ("c6", "c4"), ("q2", "q3")])
+def test_branch_and_bound_backends_agree_on_reversed_edge_order(target, forbid):
+    _bb_agree(4, target, forbid, reverse=True)
+
+
+@needs_compiled
+def test_branch_and_bound_backends_agree_on_80_edges():
+    # Q_5 has 80 edges, so the kept masks and copies use the high 64 bits
+    value, kept, _ = _bb_agree(5, "e", "q4")
+    assert value == 77 and kept >> 64
+    assert _bb_agree(5, "e", "c4", budget_nodes=2000) == ("budget", 51, 80, 2001)
+
+
+@needs_compiled
+def test_compiled_branch_and_bound_refuses_more_than_128_edges():
+    with pytest.raises(ValueError):
+        _cycles_c.bb_search_kernel(129, [1], [1 << 128], None, None)
+
+
+@needs_compiled
+def test_compiled_branch_and_bound_c4_c8_at_n4():
+    # about 15 s on the pure twin, so pinned on the compiled kernel only
+    edges, tmasks, fmasks = search_instance(4, parse_pattern("c4"), parse_pattern("c8"))
+    value, kept, nodes = _cycles_c.bb_search_kernel(len(edges), tmasks, fmasks, None, None)
+    assert (value, nodes) == (7, 366966)
+    assert sum(t & kept == t for t in tmasks) == 7
+    assert not any(f & kept == f for f in fmasks)

@@ -8,11 +8,21 @@ from cubeturan.errors import BadRange, BudgetExceeded, DimensionTooLarge
 from cubeturan.patterns import Pattern, parse_pattern
 from cubeturan.search import (
     _branch_and_bound,
+    _branch_and_bound_py,
     density,
     exact_extremal,
     pattern_copies,
+    search_instance,
 )
 from cubeturan.verification import is_c2k_free, is_qk_free
+
+try:
+    from cubeturan._kernels._cycles_c import bb_search_kernel
+except ImportError:
+    bb_search_kernel = None
+
+# every branch-and-bound that imports: the pure twin and the compiled kernel
+BB_BACKENDS = [_branch_and_bound_py] + ([bb_search_kernel] if bb_search_kernel else [])
 
 # the full n=3 grid, frozen from the 2^12 whole-lattice scan
 EX_Q3 = {
@@ -87,7 +97,24 @@ def test_budget_exceeded_carries_sane_bounds():
         exact_extremal(4, parse_pattern("e"), parse_pattern("c6"), budget_nodes=50)
     exc = info.value
     assert 0 <= exc.lower <= 21 <= exc.upper  # optimum is 21
-    assert exc.nodes_explored >= 50
+    assert exc.nodes_explored == 51
+
+
+def _budget_stop(bb, ne, tmasks, fmasks, budget_nodes, budget_seconds):
+    with pytest.raises(BudgetExceeded) as info:
+        bb(ne, tmasks, fmasks, budget_nodes, budget_seconds)
+    exc = info.value
+    return exc.lower, exc.upper, exc.nodes_explored
+
+
+@pytest.mark.parametrize("bb", BB_BACKENDS, ids=lambda bb: bb.__name__)
+def test_budget_stops_are_the_same_on_every_backend(bb):
+    edges, tmasks, fmasks = search_instance(4, parse_pattern("e"), parse_pattern("c6"))
+    # node budget + 1 is the node refused; the bounds are the pure twin's
+    for budget, bounds in {10: (0, 32), 50: (19, 32), 1000: (20, 32)}.items():
+        assert _budget_stop(bb, len(edges), tmasks, fmasks, budget, None) == (*bounds, budget + 1)
+    # the clock is read at the first node
+    assert _budget_stop(bb, len(edges), tmasks, fmasks, None, 0)[2] == 1
 
 
 def test_deterministic_results():

@@ -1,26 +1,26 @@
-"""Backend selection for the compiled kernels.
+"""Backend selection for the kernels, made once at import.
 
-The compiled kernels (kernels.c, loaded with ctypes) are preferred; the
-pure-Python twins are the fallback when the library is missing, fails to load
-or lacks a kernel. Set CUBETURAN_PURE=1 to force the fallback (used by the
-benchmark and tests). The cycle kernels have their twins in _cycles_py;
-bb_search_kernel is None on the pure backend, where search runs its own twin.
+Every kernel has a C function in kernels.c, a ctypes binding in _cycles_c and
+a pure-Python twin of the same name and signature in _cycles_py. The C
+bindings are selected; _cycles_py is selected instead when CUBETURAN_PURE=1
+(used by the benchmark and tests) or the library is missing or will not load.
 """
 
 import os
 
-if os.environ.get("CUBETURAN_PURE") == "1":
-    from ._cycles_py import count_cycles_kernel, find_cycle_kernel
-    bb_search_kernel = None
-    BACKEND = "python"
-else:
+from . import _cycles_py
+
+_selected = _cycles_py
+if os.environ.get("CUBETURAN_PURE") != "1":
     try:
-        from ._cycles_c import bb_search_kernel, count_cycles_kernel, find_cycle_kernel
-        BACKEND = "c"
+        from . import _cycles_c as _selected
     except ImportError:
-        from ._cycles_py import count_cycles_kernel, find_cycle_kernel
-        bb_search_kernel = None
-        BACKEND = "python"
+        pass
+
+BACKEND = "python" if _selected is _cycles_py else "c"
+count_cycles_kernel = _selected.count_cycles_kernel
+find_cycle_kernel = _selected.find_cycle_kernel
+bb_search_kernel = _selected.bb_search_kernel
 
 
 def backend_name() -> str:

@@ -11,7 +11,7 @@ import ctypes
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
-from ..errors import BudgetExceeded
+from ._cycles_py import budget_stop
 
 
 def _load():
@@ -78,20 +78,19 @@ def _pairs(masks):
 
 
 def bb_search_kernel(ne, tmasks, fmasks, budget_nodes, budget_seconds):
-    """(value, kept mask, nodes) of search._branch_and_bound_py's search, or its
-    BudgetExceeded with the same bounds and node count."""
+    """(value, kept mask, nodes) of _cycles_py.bb_search_kernel's search, or
+    its budget stop with the same bounds and node count."""
     if not fmasks or ne > MAX_BB_EDGES or max([*tmasks, *fmasks]) >> ne:
         raise ValueError(f"bad kernel call: {ne} edges (at most {MAX_BB_EDGES}), "
                          f"{len(fmasks)} forbidden copies (at least 1), masks within the edges")
-    out = (ctypes.c_longlong * 4)()
+    out = (ctypes.c_longlong * 2)()
     kept = (ctypes.c_uint64 * 2)()
     spent = _bb(ne, _pairs(tmasks), len(tmasks), _pairs(fmasks), len(fmasks),
                 _NO_NODE_BUDGET if budget_nodes is None else min(max(budget_nodes, 0), _NO_NODE_BUDGET),
                 budget_seconds is not None, budget_seconds or 0.0, out, kept)
     if spent < 0:
         raise MemoryError("bb_search could not copy the masks")
-    value, nodes, lower, upper = out
+    value, nodes = out
     if spent:
-        raise BudgetExceeded(f"{'node' if spent == 1 else 'time'} budget exhausted",
-                             lower=lower, upper=upper, nodes_explored=nodes)
+        raise budget_stop("node" if spent == 1 else "time", value, tmasks, nodes)
     return value, kept[0] | kept[1] << 64, nodes

@@ -1,6 +1,8 @@
-"""Pure-Python twin of the compiled cycle kernel (cycle_dfs.c).
+"""Pure-Python twins of the compiled kernels in kernels.c: the cycle DFS and
+the branch-and-bound. Each has the name and signature of its binding in
+_cycles_c and the contract stated here.
 
-Both backends implement the same contract on a Subgraph `g`:
+The cycle kernels work on a Subgraph `g`:
 
 * cycles are produced in canonical orientation only: the start vertex is the
   cycle minimum and the second vertex is smaller than the last, so every
@@ -16,11 +18,17 @@ Both backends implement the same contract on a Subgraph `g`:
 
 `_dfs` is the one search here; counting, stopping at the first cycle and
 collecting every cycle are its three uses.
+
+`bb_search_kernel` visits the same nodes in the same order as bb_search, so
+values, kept sets, node counts and budget stops agree across backends.
 """
 
 from __future__ import annotations
 
+import time
+
 from ..core import adjacency_lists
+from ..errors import BudgetExceeded
 
 
 def _dfs(g, length, start=0, step=1, out=None, first=False):
@@ -94,3 +102,78 @@ def collect_cycles(g, length) -> list[tuple[int, ...]]:
     out: list = []
     _dfs(g, length, out=out)
     return out
+
+
+def budget_stop(spent, best, tmasks, nodes) -> BudgetExceeded:
+    """The error of a branch-and-bound whose `spent` ("node" or "time") budget
+    ran out at node `nodes`: the incumbent `best` (-1 for none) is a lower
+    bound, and no kept set holds more than every target copy."""
+    return BudgetExceeded(f"{spent} budget exhausted", lower=max(best, 0), upper=len(tmasks),
+                          nodes_explored=nodes)
+
+
+def bb_search_kernel(ne, tmasks, fmasks, budget_nodes, budget_seconds):
+    """(most target copies in a kept edge set that breaks every forbidden copy,
+    that kept set as a mask, nodes explored), with at least one forbidden copy;
+    budget_stop's error when a budget runs out (node budget_nodes + 1 is the one
+    refused).
+
+    A node is (kept, deleted) over ne edges. Propagation kills a node with a
+    forbidden copy all kept and deletes the last undecided edge of any other
+    unbroken copy; the bound counts target copies with no deleted edge; a node
+    branches on the first unbroken forbidden copy (in the order given) into
+    "delete e_i, keep e_1..e_{i-1}" over its undecided edges e_1 < e_2 < ...,
+    lowest first. The clock is read at every node here, and at node 1 and
+    every 2^12th in C.
+    """
+    all_mask = (1 << ne) - 1
+    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
+    state = {"nodes": 0, "best": -1, "best_kept": 0}
+
+    def propagate(kept: int, deleted: int):
+        changed = True
+        while changed:
+            changed = False
+            for f in fmasks:
+                if f & deleted:
+                    continue
+                und = f & ~kept
+                if und == 0:
+                    return None
+                if und & (und - 1) == 0:
+                    deleted |= und
+                    changed = True
+        return deleted
+
+    def dfs(kept: int, deleted: int) -> None:
+        state["nodes"] += 1
+        spent = ("node" if budget_nodes is not None and state["nodes"] > budget_nodes else
+                 "time" if deadline is not None and time.monotonic() >= deadline else None)
+        if spent:
+            raise budget_stop(spent, state["best"], tmasks, state["nodes"])
+        deleted = propagate(kept, deleted)
+        if deleted is None:
+            return
+        ub = sum(1 for t in tmasks if not t & deleted)
+        if ub <= state["best"]:
+            return
+        for unhit in fmasks:
+            if not unhit & deleted:
+                break
+        else:
+            # every forbidden copy is broken: keeping all undecided edges is optimal here
+            state["best"] = ub
+            state["best_kept"] = all_mask & ~deleted
+            return
+        und = unhit & ~kept
+        acc = kept
+        while und:
+            bit = und & -und
+            und ^= bit
+            dfs(acc, deleted | bit)
+            acc |= bit
+
+    # Q_n is edge-transitive and Q_n itself is infeasible here, so some optimal
+    # solution deletes the first edge in the fixed order: fix it at the root.
+    dfs(0, 1)
+    return state["best"], state["best_kept"], state["nodes"]

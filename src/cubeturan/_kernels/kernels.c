@@ -1,9 +1,9 @@
 /* Compiled kernels: the canonical cycle DFS on hypercube direction masks and
  * the branch-and-bound of the exact extremal search.
  *
- * One library, loaded with ctypes by _cycles_c.py. The pure twins state the
- * contracts both keep: _cycles_py.py for cycle_dfs, search._branch_and_bound_py
- * for bb_search. The caller owns every buffer passed in.
+ * One library, loaded with ctypes by _cycles_c.py. The pure twins in
+ * _cycles_py.py, under the names of the bindings, state the contracts both
+ * keep. The caller owns every buffer passed in.
  *
  * cycle_dfs: bit p of masks[v] is set iff the edge {v, v ^ (1 << p)} is
  * present. path and iters hold `length` entries, in_path holds nv zeroed
@@ -69,14 +69,9 @@ long long cycle_dfs(const uint32_t *masks, int nv, int length, int start, int st
 }
 
 /* bb_search: the most target copies a kept edge set can hold while every
- * forbidden copy loses an edge (nf >= 1). Edge sets are masks over ne <= 128
+ * forbidden copy loses an edge (nf >= 1), searched node for node as
+ * _cycles_py.bb_search_kernel states. Edge sets are masks over ne <= 128
  * edges, passed as (low, high) uint64 pairs.
- *
- * A node is (kept, deleted). Propagation kills a node with a forbidden copy
- * all kept and deletes the last undecided edge of any other unbroken copy;
- * the bound counts target copies with no deleted edge; a node branches on the
- * first unbroken forbidden copy (in the order given) into "delete e_i, keep
- * e_1..e_{i-1}" over its undecided edges e_1 < e_2 < ..., lowest first.
  */
 typedef unsigned __int128 mask_t;
 
@@ -84,10 +79,9 @@ struct bb {
     const mask_t *t, *f;
     int nt, nf;
     mask_t all, best_kept;
-    long long best, nodes, budget_nodes, lower, upper;
-    int timed, spent, top;
+    long long best, nodes, budget_nodes;
+    int timed, spent;
     double deadline;
-    long long ubs[130]; /* open upper bounds: the root's, then one per branching ancestor */
 };
 
 static double now(void)
@@ -127,14 +121,8 @@ static void dfs(struct bb *s, mask_t kept, mask_t deleted)
     /* the clock is read at node 1 and every 2^12 nodes after */
     s->spent = s->nodes > s->budget_nodes ? 1
              : s->timed && (s->nodes == 1 || !(s->nodes & 4095)) && now() >= s->deadline ? 2 : 0;
-    if (s->spent) {
-        s->lower = s->best > 0 ? s->best : 0;
-        s->upper = s->best;
-        for (int i = 0; i <= s->top; i++)
-            if (s->ubs[i] > s->upper)
-                s->upper = s->ubs[i];
+    if (s->spent)
         return;
-    }
     if (!propagate(s, kept, &deleted))
         return;
     long long ub = 0;
@@ -151,7 +139,6 @@ static void dfs(struct bb *s, mask_t kept, mask_t deleted)
         s->best_kept = s->all & ~deleted;
         return;
     }
-    s->ubs[++s->top] = ub;
     mask_t und = s->f[i] & ~kept, acc = kept;
     while (und) {
         mask_t bit = und & -und;
@@ -161,7 +148,6 @@ static void dfs(struct bb *s, mask_t kept, mask_t deleted)
             return;
         acc |= bit;
     }
-    --s->top;
 }
 
 /* Copies n (low, high) pairs into a new mask array, NULL if out of memory. */
@@ -175,8 +161,9 @@ static mask_t *unpack(const uint64_t *pairs, int n)
 
 /* Returns 0 when the search is complete, 1 or 2 when the node or the time
  * budget ran out (node budget_nodes + 1 is the one refused), -1 when out of
- * memory. out receives {value, nodes, lower, upper}, the bounds only on a
- * budget stop; kept receives the (low, high) pair of an optimal kept set. */
+ * memory. out receives {value, nodes}, the value being the incumbent (-1 for
+ * none) on a budget stop; kept receives the (low, high) pair of an optimal
+ * kept set. */
 int bb_search(int ne, const uint64_t *tmasks, int nt, const uint64_t *fmasks, int nf,
               long long budget_nodes, int timed, double budget_seconds,
               long long *out, uint64_t *kept)
@@ -198,7 +185,6 @@ int bb_search(int ne, const uint64_t *tmasks, int nt, const uint64_t *fmasks, in
     s.timed = timed;
     if (timed)
         s.deadline = now() + budget_seconds;
-    s.ubs[0] = nt;
     /* Q_n is edge-transitive and Q_n itself is infeasible here, so some
      * optimal solution deletes the first edge in the fixed order */
     dfs(&s, 0, 1);
@@ -206,8 +192,6 @@ int bb_search(int ne, const uint64_t *tmasks, int nt, const uint64_t *fmasks, in
     free(f);
     out[0] = s.best;
     out[1] = s.nodes;
-    out[2] = s.lower;
-    out[3] = s.upper;
     kept[0] = (uint64_t)s.best_kept;
     kept[1] = (uint64_t)(s.best_kept >> 64);
     return s.spent;

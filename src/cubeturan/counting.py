@@ -188,13 +188,16 @@ class CycleWitness:
         return {"length": self.length, "vertices": list(self.vertices)}
 
 
-def _check_cycle_args(g: Subgraph, length: int) -> None:
+def _cycle_fits(g: Subgraph, length: int) -> bool:
+    """Whether a cycle on `length` vertices fits in Q_n; raises on an odd or
+    short length and on n > CYCLE_ENUM_MAX_N."""
     if length < 4 or length % 2:
         raise BadLength(f"cycle length must be even and >= 4, got {length}")
     if g.n > CYCLE_ENUM_MAX_N:
         raise EnumerationTooLarge(
             f"cycle enumeration refused for n={g.n} > {CYCLE_ENUM_MAX_N}"
         )
+    return length <= 1 << g.n
 
 
 def count_cycles(g: Subgraph, length: int, threads: int = 1) -> int:
@@ -202,19 +205,19 @@ def count_cycles(g: Subgraph, length: int, threads: int = 1) -> int:
 
     The total is a sum of per-start-vertex counts, so it does not depend on
     `threads`. With T threads the start vertices are split into the 4T
-    residue classes mod 4T, handed to idle threads in turn. A cycle is
-    counted from its minimum vertex, so low start vertices hold most of the
-    work: by DFS node counts on Q_7, Q_8, conder(10), conder(12) and a random
-    Q_9 subgraph with T = 2, 4, 8, the busiest thread gets at most 9% over
-    an even share this way, against 31% with 4T contiguous ranges and 63%
-    with the T classes mod T. At most os.cpu_count() threads are started.
+    residue classes mod 4T (at most 2^n, so every class has a start vertex),
+    handed to idle threads in turn. A cycle is counted from its minimum
+    vertex, so low start vertices hold most of the work: by DFS node counts
+    on Q_7, Q_8, conder(10), conder(12) and a random Q_9 subgraph with
+    T = 2, 4, 8, the busiest thread gets at most 9% over an even share this
+    way, against 31% with 4T contiguous ranges and 63% with the T classes
+    mod T. At most os.cpu_count() threads are started.
     """
-    _check_cycle_args(g, length)
-    if length > 1 << g.n:
+    if not _cycle_fits(g, length):
         return 0
     if threads <= 1:
         return count_cycles_kernel(g, length)
-    parts = 4 * threads
+    parts = min(4 * threads, 1 << g.n)
     with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         return sum(pool.map(lambda i: count_cycles_kernel(g, length, i, parts), range(parts)))
 
@@ -224,8 +227,7 @@ def find_cycle(g: Subgraph, length: int):
 
     Returns (CycleWitness | None, extension_attempts).
     """
-    _check_cycle_args(g, length)
-    if length > 1 << g.n:
+    if not _cycle_fits(g, length):
         return None, 0
     path, nodes = find_cycle_kernel(g, length)
     if path is None:
@@ -238,8 +240,7 @@ def enumerate_cycle_witnesses(g: Subgraph, length: int) -> list[CycleWitness]:
 
     Always runs the pure-Python kernel, whichever backend counts.
     """
-    _check_cycle_args(g, length)
-    if length > 1 << g.n:
+    if not _cycle_fits(g, length):
         return []
     return [CycleWitness(g.n, path) for path in collect_cycles(g, length)]
 

@@ -8,14 +8,14 @@ best-effort for n = 4 under a node/time budget.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import bb_search_kernel
-from .core import Subgraph, edge_pair_masks, full_cube, iter_subcubes, subcube_edges
+from .core import (Subgraph, edge_key_from_endpoints, edge_pair_masks, full_cube,
+                   iter_subcubes, subcube_edges)
 from .counting import ambient_count, count_in_subgraph, enumerate_cycle_witnesses
-from .errors import BadRange, BudgetExceeded, CubeError, DimensionTooLarge
+from .errors import BadRange, CubeError, DimensionTooLarge
 from .patterns import CYCLE, SUBCUBE, Pattern
 from .verification import is_pattern_free
 
@@ -58,11 +58,10 @@ def pattern_copies(n: int, pattern: Pattern) -> list[frozenset[tuple[int, int]]]
 def search_instance(n: int, target: Pattern, forbid: Pattern):
     """(edges of Q_n in the search's fixed order, target copies, forbidden copies),
     each copy an edge mask over that order, the masks sorted."""
-    # fixed edge order: as the star strings sort ('*' < '0' < '1', position 0
-    # first). Q_n is edge-transitive, so no edge lies in more target copies.
+    # fixed edge order: by star string. Q_n is edge-transitive, so no edge lies
+    # in more target copies.
     edges = sorted(((b, b | s) for s, b in iter_subcubes(full_cube(n), 1)),
-                   key=lambda e: [0 if (e[0] ^ e[1]) >> i & 1 else 1 + (e[0] >> i & 1)
-                                  for i in range(n)])
+                   key=lambda e: edge_key_from_endpoints(*e, n))
     eidx = {e: i for i, e in enumerate(edges)}
     tmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, target))
     fmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, forbid))
@@ -125,82 +124,11 @@ def _exhaustive(ne: int, tmasks, fmasks) -> tuple[int, int, int]:
 
 def _branch_and_bound(ne, tmasks, fmasks, budget_nodes, budget_seconds):
     """(most target copies in a kept edge set that breaks every forbidden copy,
-    that kept set as a mask, nodes explored); BudgetExceeded when a budget runs
-    out. Runs kernels.c's bb_search when it is loaded, else the pure twin."""
+    that kept set as a mask, nodes explored), by the selected bb_search_kernel;
+    BudgetExceeded when a budget runs out. With no forbidden copy every edge is kept."""
     if not fmasks:
         return len(tmasks), (1 << ne) - 1, 1
-    run = bb_search_kernel or _branch_and_bound_py
-    return run(ne, tmasks, fmasks, budget_nodes, budget_seconds)
-
-
-def _branch_and_bound_py(ne, tmasks, fmasks, budget_nodes, budget_seconds):
-    """Pure twin of bb_search in kernels.c: the same nodes, in the same order,
-    and the same bounds on a budget stop (needs at least one forbidden copy)."""
-    all_mask = (1 << ne) - 1
-    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
-    state = {"nodes": 0, "best": -1, "best_kept": 0}
-    open_ubs: list[int] = [len(tmasks)]  # root bound; ancestors push theirs below
-
-    def propagate(kept: int, deleted: int):
-        # a forbidden copy whose edges are all kept is a dead end; one with a
-        # single undecided edge forces that edge deleted
-        changed = True
-        while changed:
-            changed = False
-            for f in fmasks:
-                if f & deleted:
-                    continue
-                und = f & ~kept
-                if und == 0:
-                    return None
-                if und & (und - 1) == 0:
-                    deleted |= und
-                    changed = True
-        return deleted
-
-    def upper_bound(deleted: int) -> int:
-        return sum(1 for t in tmasks if not t & deleted)
-
-    def dfs(kept: int, deleted: int) -> None:
-        state["nodes"] += 1
-        spent = ("node" if budget_nodes is not None and state["nodes"] > budget_nodes else
-                 "time" if deadline is not None and time.monotonic() >= deadline else None)
-        if spent:
-            raise BudgetExceeded(f"{spent} budget exhausted", lower=max(state["best"], 0),
-                                 upper=max([state["best"]] + open_ubs),
-                                 nodes_explored=state["nodes"])
-        prop = propagate(kept, deleted)
-        if prop is None:
-            return
-        deleted = prop
-        ub = upper_bound(deleted)
-        if ub <= state["best"]:
-            return
-        unhit = None
-        for f in fmasks:
-            if not f & deleted:
-                unhit = f
-                break
-        if unhit is None:
-            # every forbidden copy is broken: keeping all undecided edges is optimal here
-            state["best"] = ub
-            state["best_kept"] = all_mask & ~deleted
-            return
-        # one edge of the unhit copy must go; branch "delete e_i, keep e_1..e_{i-1}"
-        open_ubs.append(ub)
-        und = unhit & ~kept
-        acc = kept
-        while und:
-            bit = und & -und
-            und ^= bit
-            dfs(acc, deleted | bit)
-            acc |= bit
-        open_ubs.pop()
-
-    # Q_n is edge-transitive and Q_n itself is infeasible here, so some optimal
-    # solution deletes the first edge in the fixed order: fix it at the root.
-    dfs(0, 1)
-    return state["best"], state["best_kept"], state["nodes"]
+    return bb_search_kernel(ne, tmasks, fmasks, budget_nodes, budget_seconds)
 
 
 def density(n: int, target: Pattern, forbid: Pattern,

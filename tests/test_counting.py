@@ -126,6 +126,22 @@ def test_count_cycles_starts_at_most_cpu_count_threads(monkeypatch):
     assert started == [2]
 
 
+def test_count_cycles_submits_at_most_one_class_per_start_vertex(monkeypatch):
+    # Executor.map submits every task up front, so the class count must not
+    # grow with `threads` past the 2^n start vertices
+    submitted = []
+
+    class Spy(counting.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", Spy)
+    assert count_cycles(full_cube(3), 4, threads=10**9) == 6
+    assert len(submitted) == 8
+
+
 def test_count_copies_qk():
     for n in range(1, 6):
         for k in range(0, n + 1):

@@ -9,11 +9,12 @@ import pytest
 from helpers import random_subgraph
 
 import cubeturan
+from cubeturan import _kernels
 from cubeturan._kernels import _cycles_py, backend_name
 from cubeturan.core import full_cube
 from cubeturan.errors import BudgetExceeded
 from cubeturan.patterns import parse_pattern
-from cubeturan.search import _branch_and_bound_py, search_instance
+from cubeturan.search import search_instance
 
 try:
     from cubeturan._kernels import _cycles_c
@@ -60,7 +61,7 @@ def _bb_agree(n, target, forbid, budget_nodes=None, reverse=False):
         top = len(edges) - 1
         tmasks, fmasks = ([sum(1 << top - i for i in range(top + 1) if m >> i & 1) for m in ms]
                           for ms in (tmasks, fmasks))
-    pure = _bb_outcome(_branch_and_bound_py, len(edges), tmasks, fmasks, budget_nodes)
+    pure = _bb_outcome(_cycles_py.bb_search_kernel, len(edges), tmasks, fmasks, budget_nodes)
     assert _bb_outcome(_cycles_c.bb_search_kernel, len(edges), tmasks, fmasks,
                        budget_nodes) == pure, (n, target, forbid, reverse)
     return pure
@@ -68,6 +69,12 @@ def _bb_agree(n, target, forbid, budget_nodes=None, reverse=False):
 
 def test_some_backend_is_active():
     assert backend_name() in ("c", "python")
+
+
+def test_every_kernel_comes_from_the_selected_module():
+    module = {"c": _cycles_c, "python": _cycles_py}[backend_name()]
+    for name in ("count_cycles_kernel", "find_cycle_kernel", "bb_search_kernel"):
+        assert getattr(_kernels, name) is getattr(module, name)
 
 
 def test_pure_environment_selects_python():
@@ -130,12 +137,24 @@ def test_branch_and_bound_backends_agree_at_n3():
         _bb_agree(3, target, forbid)
 
 
+# (lower, upper, nodes) of the budget stops at node budgets 10 and 1000,
+# pinned from the search that kept a stack of open upper bounds, whose largest
+# entry was always the number of target copies
+N4_BUDGET_STOPS = {
+    ("e", "c6"): {10: (0, 32, 11), 1000: (20, 32, 1001)},
+    ("c4", "c6"): {10: (0, 24, 11), 1000: (4, 24, 1001)},
+    ("c8", "c4"): {10: (0, 696, 11), 1000: (16, 696, 1001)},
+    ("e", "c4"): {10: (0, 32, 11), 1000: (22, 32, 1001)},
+    ("q2", "q3"): {10: (11, 24, 11), 1000: (15, 24, 1001)},
+}
+
+
 @needs_compiled
-@pytest.mark.parametrize("target,forbid", [
-    ("e", "c6"), ("c4", "c6"), ("c8", "c4"), ("e", "c4"), ("q2", "q3"),
-])
+@pytest.mark.parametrize("target,forbid", list(N4_BUDGET_STOPS))
 def test_branch_and_bound_backends_agree_at_n4(target, forbid):
     _bb_agree(4, target, forbid)
+    for budget, stop in N4_BUDGET_STOPS[target, forbid].items():
+        assert _bb_agree(4, target, forbid, budget_nodes=budget) == ("budget", *stop)
 
 
 @needs_compiled

@@ -6,9 +6,9 @@ from cubeturan.core import edge_endpoints, full_cube
 from cubeturan.counting import ambient_count, count_in_subgraph
 from cubeturan.errors import BadRange, BudgetExceeded, DimensionTooLarge
 from cubeturan.patterns import Pattern, parse_pattern
+from cubeturan._kernels import _cycles_py
 from cubeturan.search import (
     _branch_and_bound,
-    _branch_and_bound_py,
     density,
     exact_extremal,
     pattern_copies,
@@ -17,12 +17,12 @@ from cubeturan.search import (
 from cubeturan.verification import is_c2k_free, is_qk_free
 
 try:
-    from cubeturan._kernels._cycles_c import bb_search_kernel
+    from cubeturan._kernels import _cycles_c
 except ImportError:
-    bb_search_kernel = None
+    _cycles_c = None
 
-# every branch-and-bound that imports: the pure twin and the compiled kernel
-BB_BACKENDS = [_branch_and_bound_py] + ([bb_search_kernel] if bb_search_kernel else [])
+# every kernel module that imports: the pure twins and the compiled kernels
+BB_BACKENDS = [_cycles_py] + ([_cycles_c] if _cycles_c else [])
 
 # the full n=3 grid, frozen from the 2^12 whole-lattice scan
 EX_Q3 = {
@@ -107,8 +107,9 @@ def _budget_stop(bb, ne, tmasks, fmasks, budget_nodes, budget_seconds):
     return exc.lower, exc.upper, exc.nodes_explored
 
 
-@pytest.mark.parametrize("bb", BB_BACKENDS, ids=lambda bb: bb.__name__)
-def test_budget_stops_are_the_same_on_every_backend(bb):
+@pytest.mark.parametrize("kernels", BB_BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[1])
+def test_budget_stops_are_the_same_on_every_backend(kernels):
+    bb = kernels.bb_search_kernel
     edges, tmasks, fmasks = search_instance(4, parse_pattern("e"), parse_pattern("c6"))
     # node budget + 1 is the node refused; the bounds are the pure twin's
     for budget, bounds in {10: (0, 32), 50: (19, 32), 1000: (20, 32)}.items():

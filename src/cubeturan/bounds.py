@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import check_closed_form_dimension
 from .errors import BadRange, BadTheoremId, MissingParam
 from .zwords import min_star_count
 
@@ -88,13 +89,17 @@ def t1_lower_branches(ell: int, k: int) -> tuple[Fraction, Fraction]:
 
 
 def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> BoundValue:
-    """Evaluate one side of a catalog bound at concrete parameters."""
+    """Evaluate one side of a catalog bound at concrete parameters.
+
+    An n above core.MAX_CLOSED_FORM_N is refused, whether or not the bound reads it."""
     tid = theorem.upper()
     if tid not in THEOREM_IDS:
         raise BadTheoremId(f"unknown bound identifier {theorem!r}")
     if side not in (LOWER, UPPER):
         raise BadRange(f"side must be lower or upper, got {side!r}")
     params = dict(params or {})
+    if params.get("n") is not None:
+        check_closed_form_dimension(params["n"])
 
     if tid == "T1":
         ell, k = _need(params, "l", "k")
@@ -132,9 +137,9 @@ def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> B
 
     if tid == "T4":
         ell, k = _need(params, "l", "k")
-        if (1 << ell) >= 2 * k:
+        if k > 0 and min_star_count(k) <= ell:
             # a subcube of dimension l >= log2(2k) contains the forbidden cycle,
-            # so the density is exactly zero on both sides
+            # so the density is exactly zero on both sides (k <= 0 is refused below)
             return BoundValue(tid, side, params, "0", Fraction(0), asymptotic=False)
         if k < 4 or k == 5:
             raise BadRange(f"T4 needs k >= 4 and k != 5, got {k}")

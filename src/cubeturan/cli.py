@@ -131,35 +131,29 @@ def _cmd_verify(args):
     return EXIT_WITNESS, payload, f"{pattern} found: {_witness_text(verdict.witness)}"
 
 
+def _search(args, method="auto"):
+    """The search the arguments name, and its report headed by n, target and forbid."""
+    target, forbid = parse_pattern(args.target), parse_pattern(args.forbid)
+    result = exact_extremal(args.n, target, forbid, budget_nodes=args.budget_nodes,
+                            budget_seconds=args.budget_seconds, method=method)
+    return result, {"n": args.n, "target": str(target), "forbid": str(forbid),
+                    **result.to_json_dict()}
+
+
 def _cmd_search(args):
-    target = parse_pattern(args.target)
-    forbid = parse_pattern(args.forbid)
-    result = exact_extremal(args.n, target, forbid,
-                            budget_nodes=args.budget_nodes,
-                            budget_seconds=args.budget_seconds,
-                            method=args.method)
+    result, payload = _search(args, args.method)
     if args.witness_out:
         save_subgraph(result.witness, args.witness_out)
-    payload = {"n": args.n, "target": str(target), "forbid": str(forbid)}
-    payload.update(result.to_json_dict())
     return EXIT_OK, payload, (
-        f"ex(Q_{args.n}, {target}, {forbid}) = {result.value} "
+        f"ex(Q_{args.n}, {payload['target']}, {payload['forbid']}) = {result.value} "
         f"({result.nodes_explored} nodes)")
 
 
 def _cmd_density(args):
-    target = parse_pattern(args.target)
-    forbid = parse_pattern(args.forbid)
-    result = exact_extremal(args.n, target, forbid,
-                            budget_nodes=args.budget_nodes,
-                            budget_seconds=args.budget_seconds)
-    d = result.density
-    payload = {
-        "n": args.n, "target": str(target), "forbid": str(forbid),
-        "value": str(result.value), "ambient_total": str(result.ambient_total),
-        "density": {"num": str(d.numerator), "den": str(d.denominator)},
-    }
-    return EXIT_OK, payload, f"d(Q_{args.n}, {target}, {forbid}) = {d}"
+    result, report = _search(args)
+    keys = ("n", "target", "forbid", "value", "ambient_total", "density")
+    return EXIT_OK, {key: report[key] for key in keys}, (
+        f"d(Q_{args.n}, {report['target']}, {report['forbid']}) = {result.density}")
 
 
 def _parse_exact(text: str) -> Fraction:

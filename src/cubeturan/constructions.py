@@ -25,6 +25,7 @@ from .core import (
 )
 from .counting import CycleWitness, binomial_residue_sum, find_cycle
 from .errors import BadRange, CycleDoesNotFit
+from .zwords import min_star_count
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +47,10 @@ def layer_complement(n: int, k: int, i: int) -> Subgraph:
     """All edge layers except those congruent to i mod k; Q_k-free."""
     if not 2 <= k <= n:
         raise BadRange(f"need 2 <= k <= n, got k={k}, n={n}")
-    g = layer_union_mod(n, k, i, complement=True)
-    return g.replace_name(f"layer-complement(n={n},k={k},i={i})")
+    if not 0 <= i < k:  # worded as layer_union_mod words it
+        raise BadRange(f"need k >= 1 and 0 <= j < k, got k={k}, j={i}")
+    return subgraph_where(n, lambda v, p: v.bit_count() % k != i,
+                          f"layer-complement(n={n},k={k},i={i})")
 
 
 def even_odd_layers(n: int, j: int) -> Subgraph:
@@ -55,8 +58,7 @@ def even_odd_layers(n: int, j: int) -> Subgraph:
     two adjacent layers."""
     if j not in (0, 1):
         raise BadRange(f"parity must be 0 or 1, got {j}")
-    g = layer_union_mod(n, 2, j)
-    return g.replace_name(f"even-odd(n={n},j={j})")
+    return subgraph_where(n, lambda v, p: v.bit_count() % 2 == j, f"even-odd(n={n},j={j})")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def disjoint_qm_packing(n: int, m: int, with_cycles: bool = False,
         return subgraph_where(n, lambda v, p: p < m, f"qm-packing(n={n},m={m})")
     if ell is None or ell < 2:
         raise BadRange(f"with_cycles needs l >= 2, got {ell}")
-    if 2 * ell > 1 << m:
+    if min_star_count(ell) > m:
         raise CycleDoesNotFit(f"C_{2 * ell} needs {2 * ell} vertices, Q_{m} has {1 << m}")
     witness, _ = find_cycle(full_cube(m), 2 * ell)
     if witness is None:  # cannot happen: Q_m hosts all even lengths up to 2^m

@@ -39,6 +39,10 @@ ALPHABET = frozenset("01*")
 #: operations that materialize per-vertex or per-edge state refuse n above this
 MAX_MATERIALIZED_N = 30
 
+#: closed-form counts and bounds refuse n above this, so what they print stays in
+#: str()'s 4300 digits: 3^n >= N(Q_n, Q_k) has 1955 digits here, a z_{k,l} factor < 560 more
+MAX_CLOSED_FORM_N = 4096
+
 FILE_MAGIC = "cube v1"
 
 
@@ -47,6 +51,11 @@ def check_dimension(n: int) -> None:
         raise BadRange(f"dimension must be positive, got {n}")
     if n > MAX_MATERIALIZED_N:
         raise DimensionTooLarge(f"n={n} exceeds the materialization cap {MAX_MATERIALIZED_N}")
+
+
+def check_closed_form_dimension(n: int) -> None:
+    if n > MAX_CLOSED_FORM_N:
+        raise DimensionTooLarge(f"n={n} exceeds the closed-form cap {MAX_CLOSED_FORM_N}")
 
 
 @dataclass(frozen=True)
@@ -250,9 +259,6 @@ class Subgraph:
     def sorted_edges(self) -> list[str]:
         return sorted(self._edge_keys() if self._edges is None else self._edges)
 
-    def replace_name(self, name: str) -> "Subgraph":
-        return Subgraph(self.n, name=name, masks=self.masks)
-
 
 def full_cube(n: int) -> Subgraph:
     """Q_n itself: all n*2^(n-1) edges."""
@@ -352,10 +358,13 @@ def load_subgraph(path) -> Subgraph:
     header = raw[0][len(FILE_MAGIC):].strip()
     if not header.startswith("n="):
         raise ParseError("header must declare n=<dimension>", line=1)
+    digits = header[2:]
     try:
-        n = int(header[2:])
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(digits)  # int() alone also reads "1_0", "+3" and non-ASCII digits
+        n = int(digits)  # and past 4300 digits it refuses too
     except ValueError:
-        raise ParseError(f"bad dimension {header[2:]!r}", line=1) from None
+        raise ParseError(f"bad dimension {digits!r}", line=1) from None
     check_dimension(n)
     masks: dict[int, int] = {}
     for lineno, line in enumerate(raw[1:], start=2):

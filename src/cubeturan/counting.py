@@ -1,8 +1,8 @@
 """Exact counting: subcube copies, even cycles, the z-table, residue binomial sums.
 
 All counts are exact arbitrary-precision ints; densities are exact Fractions.
-Closed-form counts have no dimension cap; enumerations are capped (see
-CYCLE_ENUM_MAX_N and the n<=30 materialization cap in core).
+Closed-form counts refuse n > 4096 and enumerations are capped lower (see
+CYCLE_ENUM_MAX_N and the MAX_CLOSED_FORM_N and MAX_MATERIALIZED_N caps in core).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from ._kernels import count_cycles_kernel, find_cycle_kernel
 from ._kernels._cycles_py import collect_cycles
 from ._version import __version__
-from .core import Subgraph, edge_key_from_endpoints, iter_subcubes
+from .core import Subgraph, check_closed_form_dimension, edge_key_from_endpoints, iter_subcubes
 from .errors import (
     BadLength,
     BadRange,
@@ -39,20 +39,13 @@ def closed_count_qk(n: int, k: int) -> int:
     return math.comb(n, k) << (n - k)
 
 
-def closed_count_edges(n: int) -> int:
-    """||Q_n|| = n * 2^(n-1)."""
-    if n < 1:
-        raise BadRange(f"dimension must be positive, got {n}")
-    return n << (n - 1)
-
-
 def closed_count_c2l(n: int, ell: int, z) -> int:
     """N(Q_n, C_2l) = sum over k of C(n,k) * 2^(n-k) * z_{k,l}.
 
     k runs from ceil(log2(2l)) to min(l, n). `z` is indexed z[k, l]: a plain
     mapping (missing entries raise MissingZEntry) or a ZTable (computes on demand).
     """
-    if n < 1 or ell < 2 or ell > 1 << (n - 1):
+    if n < 1 or ell < 2 or min_star_count(ell) > n:
         raise BadRange(f"need 2 <= l <= 2^(n-1), got n={n}, l={ell}")
     total = 0
     for k in range(min_star_count(ell), min(ell, n) + 1):
@@ -60,7 +53,7 @@ def closed_count_c2l(n: int, ell: int, z) -> int:
             zk = z[k, ell]
         except KeyError:
             raise MissingZEntry(f"no z entry for (k={k}, l={ell})") from None
-        total += math.comb(n, k) * (1 << (n - k)) * zk
+        total += closed_count_qk(n, k) * zk
     return total
 
 
@@ -197,7 +190,7 @@ def _cycle_fits(g: Subgraph, length: int) -> bool:
         raise EnumerationTooLarge(
             f"cycle enumeration refused for n={g.n} > {CYCLE_ENUM_MAX_N}"
         )
-    return length <= 1 << g.n
+    return min_star_count(length // 2) <= g.n
 
 
 def count_cycles(g: Subgraph, length: int, threads: int = 1) -> int:
@@ -262,15 +255,12 @@ def binomial_residue_sum(m: int, r: int, a: int) -> int:
 
 
 def ambient_count(n: int, pattern: Pattern, z=None) -> int:
-    """N(Q_n, pattern) by closed form (0 when a cycle cannot fit)."""
-    if pattern.kind == EDGE:
-        return closed_count_edges(n)
-    if pattern.kind == SUBCUBE:
-        if pattern.order > n:
-            return 0
-        return closed_count_qk(n, pattern.order)
+    """N(Q_n, pattern) by closed form (0 when it cannot fit; an edge is a Q_1)."""
+    check_closed_form_dimension(n)
+    if pattern.kind != CYCLE:
+        return closed_count_qk(n, pattern.order) if pattern.order <= n else 0
     ell = pattern.order // 2
-    if 2 * ell > 1 << n:
+    if min_star_count(ell) > n:
         return 0
     return closed_count_c2l(n, ell, z if z is not None else ZTable())
 
@@ -310,7 +300,7 @@ def count_report(n: int, pattern: Pattern, g: Subgraph | None = None,
                  z=None, threads: int = 1) -> CountReport:
     """Count a pattern in Q_n (closed form) or in a given subgraph (enumeration).
 
-    Closed-form counting has no dimension cap; only the subgraph path
+    Closed-form counting refuses n > MAX_CLOSED_FORM_N; only the subgraph path
     materializes per-edge state.
     """
     if n < 1:

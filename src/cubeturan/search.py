@@ -14,7 +14,7 @@ from fractions import Fraction
 from ._kernels import bb_search_kernel
 from .core import (Subgraph, edge_key_from_endpoints, edge_pair_masks, full_cube,
                    iter_subcubes, subcube_edges)
-from .counting import ambient_count, count_in_subgraph, enumerate_cycle_witnesses
+from .counting import count_in_subgraph, enumerate_cycle_witnesses
 from .errors import BadRange, CubeError, DimensionTooLarge
 from .patterns import CYCLE, SUBCUBE, Pattern
 from .verification import is_pattern_free
@@ -46,13 +46,13 @@ class SearchResult:
 def pattern_copies(n: int, pattern: Pattern) -> list[frozenset[tuple[int, int]]]:
     """Every copy of the pattern in Q_n, as a frozenset of edges (u, v), u < v.
 
-    An edge is a Q_1. Subcubes come in `iter_subcubes` order, cycles in DFS order.
+    An edge is a Q_1 (its order is 1), and iter_subcubes lists no Q_k with k > n.
+    Subcubes come in `iter_subcubes` order, cycles in DFS order.
     """
     if pattern.kind == CYCLE:
         return [frozenset(w.edge_pairs())
                 for w in enumerate_cycle_witnesses(full_cube(n), pattern.order)]
-    k = pattern.order if pattern.kind == SUBCUBE else 1  # iter_subcubes lists none if k > n
-    return [frozenset(subcube_edges(*pair)) for pair in iter_subcubes(full_cube(n), k)]
+    return [frozenset(subcube_edges(*pair)) for pair in iter_subcubes(full_cube(n), pattern.order)]
 
 
 def search_instance(n: int, target: Pattern, forbid: Pattern):
@@ -87,11 +87,10 @@ def exact_extremal(n: int, target: Pattern, forbid: Pattern,
     if method == "exhaustive" and n > EXHAUSTIVE_MAX_N:
         raise DimensionTooLarge(f"exhaustive scan supports n <= {EXHAUSTIVE_MAX_N}")
 
-    ambient = ambient_count(n, target)
+    edges, tmasks, fmasks = search_instance(n, target, forbid)
+    ambient = len(tmasks)
     if ambient == 0:
         raise BadRange(f"target {target} has no copies in Q_{n}")
-
-    edges, tmasks, fmasks = search_instance(n, target, forbid)
     if method == "exhaustive":
         value, kept, nodes = _exhaustive(len(edges), tmasks, fmasks)
     else:

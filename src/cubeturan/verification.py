@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .core import StarVector, Subgraph, iter_subcubes, subcube_star_vector
-from .counting import CycleWitness, find_cycle
+from .counting import CycleWitness, closed_count_qk, find_cycle
 from .errors import BadRange, MixedDimensions
 from .patterns import CYCLE, SUBCUBE, Pattern
 
@@ -29,7 +29,7 @@ def is_qk_free(g: Subgraph, k: int) -> FreenessVerdict:
         raise BadRange(f"need 1 <= k <= n, got k={k}, n={g.n}")
     first = next(iter_subcubes(g, k), None)
     if first is None:
-        return FreenessVerdict(True, None, math.comb(g.n, k) << (g.n - k))
+        return FreenessVerdict(True, None, closed_count_qk(g.n, k))
     stars, b = first
     pos = [p for p in range(g.n) if stars >> p & 1]
     others = [p for p in range(g.n) if not stars >> p & 1]

@@ -64,6 +64,7 @@ def test_t4():
     # l >= log2(2k): the density is exactly zero
     assert eval_bound("T4", "lower", {"l": 3, "k": 4}).value == 0
     assert eval_bound("T4", "upper", {"l": 3, "k": 4}).value == 0
+    assert eval_bound("T4", "lower", {"l": 10 ** 11, "k": 4}).value == 0  # 2^l never built
     # m = ceil(log2(8)) - 1 = 2
     bv = eval_bound("T4", "lower", {"l": 2, "k": 4, "n": 6})
     assert bv.value == Fraction(math.comb(2, 2), math.comb(6, 2))

@@ -205,3 +205,26 @@ def test_word_count_refuses_huge_l_with_exit_4(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 4
     assert json.loads(proc.stderr)["error"] == "EnumerationTooLarge"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--theorem", "t4", "--l", "-1", "--k", "4"),
+    ("bounds", "--theorem", "t4", "--l", "0", "--k", "0", "--n", "9"),  # there is no C_0
+    ("bounds", "--theorem", "t7", "--l", "5", "--k", "6", "--n", "9" * 901),
+    ("count", "--n", "20000", "--pattern", "e"),
+    ("count", "--n", "20000", "--pattern", "q3"),
+    ("count", "--n", "1000000000000", "--pattern", "e"),
+    ("verify", "--forbid", "q2", "cube v1 n=1_0"),
+    ("verify", "--forbid", "q2", "cube v1 n=+3"),
+    ("verify", "--forbid", "q2", "cube v1 n=\uff13"),  # a full-width 3
+])
+def test_hostile_inputs_fail_with_a_structured_error(argv, tmp_path):
+    if argv[-1].startswith("cube v1"):  # a file holding just this header
+        path = tmp_path / "header.cube"
+        path.write_text(argv[-1] + "\n", encoding="utf-8")
+        argv = (*argv[:-1], str(path))
+    proc = run_cli(*argv)
+    assert proc.returncode in (2, 4)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error" in json.loads(proc.stderr)

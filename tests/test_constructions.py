@@ -33,6 +33,8 @@ def test_layer_complement_small():
     assert {edge_layer(e) for e in g.edges} == {0, 2}
     with pytest.raises(BadRange):
         layer_complement(3, 4, 0)
+    with pytest.raises(BadRange):
+        layer_complement(5, 3, 7)  # not a residue mod 3
 
 
 def test_layer_union_mod_small():

@@ -183,8 +183,7 @@ def _cmd_bounds(args):
 
 def _cmd_kpartite(args):
     g = load_subgraph(args.path)
-    edges = [StarVector(g.n, key) for key in g.sorted_edges()]
-    rep = has_k_partite_representation(edges, args.k)
+    rep = has_k_partite_representation(g, args.k)
     payload = {
         "k": args.k,
         "ell": g.n,

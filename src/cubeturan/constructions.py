@@ -11,13 +11,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from .core import (
-    STAR,
     StarVector,
     Subgraph,
-    edge_endpoints,
+    edge_pair,
     edge_pair_masks,
     full_cube,
     iter_subcubes,
+    parse_cells,
     subcube_edges,
     subcube_star_vector,
     subcube_vertices,
@@ -73,7 +73,8 @@ def _residue_hit(v: int, p: int, lo: int, hi: int, i: int, j: int) -> bool:
 def aks_deletes(key: str, k: int, i: int, j: int) -> bool:
     """Deletion predicate: ones(prefix) = i mod floor((k+1)/2) and
     ones(suffix) = j mod ceil((k+1)/2)."""
-    return _residue_hit(edge_endpoints(key)[0], key.index(STAR), (k + 1) // 2, (k + 2) // 2, i, j)
+    bit, v = edge_pair(key, len(key))
+    return _residue_hit(v, bit.bit_length() - 1, (k + 1) // 2, (k + 2) // 2, i, j)
 
 
 def aks_graph(n: int, k: int, i: int, j: int) -> Subgraph:
@@ -93,7 +94,8 @@ def aks_graph(n: int, k: int, i: int, j: int) -> Subgraph:
 
 def aks_appendix_deletes(key: str, k: int) -> bool:
     """Variant predicate with both residues 0 and moduli floor/ceil((k-1)/2)."""
-    return _residue_hit(edge_endpoints(key)[0], key.index(STAR), (k - 1) // 2, k // 2, 0, 0)
+    bit, v = edge_pair(key, len(key))
+    return _residue_hit(v, bit.bit_length() - 1, (k - 1) // 2, k // 2, 0, 0)
 
 
 def aks_appendix_graph(n: int, k: int) -> Subgraph:
@@ -224,7 +226,7 @@ def _cycle_row_masks(ell: int) -> list[int]:
         sets.append({1, 2, ell - 2})
         sets.append({0, 1, 2, ell - 2})
         return [sum(1 << i for i in s) for s in sets]
-    return [sum(1 << i for i, c in enumerate(r) if c == "1") for r in rows]
+    return [parse_cells(r, ell)[1] for r in rows]
 
 
 @dataclass(frozen=True)

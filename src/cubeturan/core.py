@@ -13,13 +13,14 @@ Conventions (used everywhere in the package):
   its endpoints;
 * star strings such as ``01*10`` (the edge joining 01010 and 01110) appear
   only at the boundary: files, ``Subgraph(n, edges)``, ``Subgraph.edges``
-  and witnesses.
+  and witnesses. ``parse_cells`` is their one reader and ``format_cells``
+  their one writer, and ``edge_pair`` holds the one-star rule of an edge.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -35,9 +36,15 @@ from .errors import (
 
 STAR = "*"
 ALPHABET = frozenset("01*")
+_STAR_BITS = bytes.maketrans(b"01*", b"001")
+_BASE_BITS = bytes.maketrans(b"*", b"0")
 
 #: operations that materialize per-vertex or per-edge state refuse n above this
 MAX_MATERIALIZED_N = 30
+
+#: builders that touch all 2^n vertices refuse n above this: conder_graph(22) peaks
+#: at 0.5 GB in 18 s and full_cube(22) at 0.6 GB, against 2.0 and 2.2 GB at n = 24
+MAX_WHOLE_CUBE_N = 22
 
 #: closed-form counts and bounds refuse n above this, so what they print stays in
 #: str()'s 4300 digits: 3^n >= N(Q_n, Q_k) has 1955 digits here, a z_{k,l} factor < 560 more
@@ -46,11 +53,11 @@ MAX_CLOSED_FORM_N = 4096
 FILE_MAGIC = "cube v1"
 
 
-def check_dimension(n: int) -> None:
+def check_dimension(n: int, cap: int = MAX_MATERIALIZED_N) -> None:
     if n < 1:
         raise BadRange(f"dimension must be positive, got {n}")
-    if n > MAX_MATERIALIZED_N:
-        raise DimensionTooLarge(f"n={n} exceeds the materialization cap {MAX_MATERIALIZED_N}")
+    if n > cap:
+        raise DimensionTooLarge(f"n={n} exceeds the materialization cap {cap}")
 
 
 def check_closed_form_dimension(n: int) -> None:
@@ -58,38 +65,58 @@ def check_closed_form_dimension(n: int) -> None:
         raise DimensionTooLarge(f"n={n} exceeds the closed-form cap {MAX_CLOSED_FORM_N}")
 
 
+def parse_cells(text: str, n: int) -> tuple[int, int]:
+    """(star mask, base) of a word of length n over {0,1,*}: the only reader of star text."""
+    if n < 1:
+        raise BadRange(f"dimension must be positive, got {n}")
+    if len(text) != n:
+        raise BadLength(f"expected {n} cells, got {len(text)} in {text!r}")
+    if not ALPHABET.issuperset(text):
+        raise BadChar(f"invalid characters {sorted(set(text) - ALPHABET)} in {text!r}")
+    word = text[::-1].encode()
+    return int(word.translate(_STAR_BITS), 2), int(word.translate(_BASE_BITS), 2)
+
+
+def format_cells(n: int, stars: int, base: int) -> str:
+    """The word of length n naming (star mask, base): the only writer of star text."""
+    cells = bin(base | 1 << n)[:2:-1]  # drops the "0b1" that fixes the length
+    while stars:
+        p = (stars & -stars).bit_length() - 1
+        cells = cells[:p] + STAR + cells[p + 1:]
+        stars &= stars - 1
+    return cells
+
+
+def edge_pair(text: str, n: int) -> tuple[int, int]:
+    """(star bit, lower endpoint) of an edge's word; BadRange unless it has exactly one star."""
+    bit, u = parse_cells(text, n)
+    if not bit or bit & (bit - 1):
+        raise BadRange(f"edge {text!r} must contain exactly one star")
+    return bit, u
+
+
 @dataclass(frozen=True)
 class StarVector:
     """A word over {0,1,*} naming a subcube of Q_n (k stars = a Q_k).
 
-    k=0 is a single vertex, k=1 an edge.
+    k=0 is a single vertex, k=1 an edge. `pair` is (star mask, base): the star
+    positions as bits, and the vertex with every star 0.
     """
 
     n: int
     cells: str
+    pair: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise BadRange(f"dimension must be positive, got {self.n}")
-        if len(self.cells) != self.n:
-            raise BadLength(f"expected {self.n} cells, got {len(self.cells)} in {self.cells!r}")
-        bad = set(self.cells) - ALPHABET
-        if bad:
-            raise BadChar(f"invalid characters {sorted(bad)} in {self.cells!r}")
+        object.__setattr__(self, "pair", parse_cells(self.cells, self.n))
 
     @property
     def k(self) -> int:
-        return self.cells.count(STAR)
+        return self.pair[0].bit_count()
 
     @property
     def star_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.cells) if c == STAR)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        """(star mask, base): the star positions as bits, and the vertex with every star 0."""
-        return (sum(1 << i for i, c in enumerate(self.cells) if c == STAR),
-                sum(1 << i for i, c in enumerate(self.cells) if c == "1"))
+        return tuple(p for p in range(self.n) if self.pair[0] >> p & 1)
 
     def __str__(self) -> str:
         return self.cells
@@ -102,16 +129,13 @@ def parse_star_vector(text: str, n: int) -> StarVector:
 
 def vertex_to_bits(v: int, n: int) -> str:
     """Format a vertex int as its position-ordered bit string."""
-    return format(v, f"0{n}b")[::-1]
+    return format_cells(n, 0, v)
 
 
 def bits_to_vertex(bits: str) -> int:
-    v = 0
-    for i, c in enumerate(bits):
-        if c == "1":
-            v |= 1 << i
-        elif c != "0":
-            raise BadChar(f"invalid vertex bit {c!r} in {bits!r}")
+    stars, v = parse_cells(bits, len(bits))
+    if stars:
+        raise BadChar(f"invalid vertex bit '*' in {bits!r}")
     return v
 
 
@@ -135,8 +159,7 @@ def subcube_edges(stars: int, base: int) -> list[tuple[int, int]]:
 
 def subcube_star_vector(n: int, stars: int, base: int) -> StarVector:
     """The star-string name of the Q_k with star mask `stars` and base `base`."""
-    return StarVector(n, "".join(STAR if stars >> p & 1 else "01"[base >> p & 1]
-                                 for p in range(n)))
+    return StarVector(n, format_cells(n, stars, base))
 
 
 def expand_vertices(sv: StarVector) -> list[int]:
@@ -148,58 +171,34 @@ def expand_edges(sv: StarVector) -> list[StarVector]:
     """All k*2^(k-1) edges of the subcube, each a one-star vector."""
     if sv.k == 0:
         raise NoStars(f"{sv.cells!r} has no stars to expand")
-    return [StarVector(sv.n, edge_key_from_endpoints(u, v, sv.n))
-            for u, v in subcube_edges(*sv.pair)]
+    return [subcube_star_vector(sv.n, u ^ v, u) for u, v in subcube_edges(*sv.pair)]
+
+
+def _edge(edge: StarVector | str) -> tuple[int, int]:
+    cells = edge.cells if isinstance(edge, StarVector) else edge
+    return edge_pair(cells, len(cells))
 
 
 def edge_star_position(edge: StarVector | str) -> int:
-    cells = edge.cells if isinstance(edge, StarVector) else edge
-    p = cells.index(STAR)
-    if STAR in cells[p + 1:]:
-        raise BadRange(f"{cells!r} is not an edge (more than one star)")
-    return p
+    return _edge(edge)[0].bit_length() - 1
 
 
 def edge_layer(edge: StarVector | str) -> int:
     """Number of 1-cells in the edge's star string."""
-    cells = edge.cells if isinstance(edge, StarVector) else edge
-    return cells.count("1")
+    return _edge(edge)[1].bit_count()
 
 
 def edge_endpoints(edge: StarVector | str) -> tuple[int, int]:
     """The two vertices of an edge, smaller first."""
-    cells = edge.cells if isinstance(edge, StarVector) else edge
-    p = edge_star_position(cells)
-    u = sum(1 << i for i, c in enumerate(cells) if c == "1")
-    return u, u | (1 << p)
+    bit, u = _edge(edge)
+    return u, u | bit
 
 
 def edge_key_from_endpoints(u: int, v: int, n: int) -> str:
     d = u ^ v
     if d == 0 or d & (d - 1):
         raise BadRange(f"vertices {u} and {v} are not adjacent in Q_{n}")
-    p = d.bit_length() - 1
-    return "".join(STAR if i == p else "01"[u >> i & 1] for i in range(n))
-
-
-def _validate_edge_key(key: str, n: int) -> None:
-    if len(key) != n:
-        raise BadLength(f"edge {key!r} has length {len(key)}, expected {n}")
-    if key.count(STAR) != 1:
-        raise BadRange(f"edge {key!r} must contain exactly one star")
-    if not ALPHABET.issuperset(key):
-        raise BadChar(f"invalid characters {sorted(set(key) - ALPHABET)} in {key!r}")
-
-
-def _add_edge(masks: dict[int, int], key: str) -> bool:
-    """Set a validated edge's bit at both endpoints; False if it was already set."""
-    bit = 1 << key.index(STAR)
-    u = int(key[::-1].replace(STAR, "0"), 2)
-    if masks.get(u, 0) & bit:
-        return False
-    masks[u] = masks.get(u, 0) | bit
-    masks[u | bit] = masks.get(u | bit, 0) | bit
-    return True
+    return format_cells(n, d, u & ~d)
 
 
 class Subgraph:
@@ -210,10 +209,8 @@ class Subgraph:
     def __init__(self, n: int, edges: Iterable[str] = (), name: str | None = None, *, masks=None):
         check_dimension(n)
         if masks is None:
-            masks = {}
-            for key in edges:
-                _validate_edge_key(key, n)
-                _add_edge(masks, key)
+            pairs = (edge_pair(key, n) for key in edges)
+            masks = edge_pair_masks((u, u | bit) for bit, u in pairs)
         items = masks.items() if isinstance(masks, dict) else enumerate(masks)
         masks = {v: m for v, m in items if m}
         for attr, value in (("n", n), ("masks", masks), ("name", name), ("_edges", None),
@@ -250,11 +247,11 @@ class Subgraph:
                     up &= up - 1
 
     def has_edge(self, edge: StarVector | str) -> bool:
-        key = edge.cells if isinstance(edge, StarVector) else edge
-        if len(key) != self.n or key.count(STAR) != 1 or not ALPHABET.issuperset(key):
+        try:
+            bit, u = edge_pair(edge.cells if isinstance(edge, StarVector) else edge, self.n)
+        except (BadChar, BadLength, BadRange):
             return False
-        u, v = edge_endpoints(key)
-        return bool(self.masks.get(u, 0) & (u ^ v))
+        return bool(self.masks.get(u, 0) & bit)
 
     def sorted_edges(self) -> list[str]:
         return sorted(self._edge_keys() if self._edges is None else self._edges)
@@ -262,7 +259,7 @@ class Subgraph:
 
 def full_cube(n: int) -> Subgraph:
     """Q_n itself: all n*2^(n-1) edges."""
-    check_dimension(n)
+    check_dimension(n, MAX_WHOLE_CUBE_N)
     return Subgraph(n, name=f"Q_{n}", masks=dict.fromkeys(range(1 << n), (1 << n) - 1))
 
 
@@ -278,7 +275,7 @@ def edge_pair_masks(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
 
 def subgraph_where(n: int, keep: Callable[[int, int], bool], name: str | None = None) -> Subgraph:
     """The edges (v, p) of Q_n, v the lower endpoint and p the position, with keep(v, p)."""
-    check_dimension(n)
+    check_dimension(n, MAX_WHOLE_CUBE_N)
     masks = [0] * (1 << n)
     for p in range(n):
         bit = 1 << p
@@ -372,9 +369,12 @@ def load_subgraph(path) -> Subgraph:
         if not text or text.startswith("#"):
             continue
         try:
-            _validate_edge_key(text, n)
+            bit, u = edge_pair(text, n)
         except (BadChar, BadLength, BadRange) as exc:
             raise ParseError(str(exc), line=lineno) from None
-        if not _add_edge(masks, text):
+        mask = masks.get(u, 0)
+        if mask & bit:
             raise DuplicateEdge(f"duplicate edge {text!r}", line=lineno)
+        masks[u] = mask | bit
+        masks[u | bit] = masks.get(u | bit, 0) | bit
     return Subgraph(n, masks=masks)

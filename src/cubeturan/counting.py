@@ -91,7 +91,10 @@ class ZTable:
                 continue
             if len(parts) != 4 or parts[0] != "z" or not "".join(parts[1:]).isdecimal():
                 return  # truncated or corrupt: recompute rather than trust any of it
-            k, ell, value = map(int, parts[1:])
+            try:
+                k, ell, value = map(int, parts[1:])
+            except ValueError:
+                return  # past int()'s 4300 digits: as corrupt as a malformed line
             if not (z_positive(k, ell) and value > 0):
                 return  # a key z never stores: as corrupt as a malformed line
             values[k, ell] = value

@@ -30,11 +30,12 @@ class DimensionMismatch(CubeError):
 
 
 class DimensionTooLarge(CubeError):
-    """Refusing to materialize per-vertex/per-edge state for n > 30."""
+    """A dimension above one of the caps: per-vertex/per-edge state (30),
+    whole-cube builders (22), closed forms (4096) or exact search (4; 3 exhaustive)."""
 
 
 class EnumerationTooLarge(CubeError):
-    """Refusing a cycle enumeration beyond the supported dimension."""
+    """Refusing a cycle enumeration or a z word count beyond its supported size."""
 
 
 class ParseError(CubeError):
@@ -66,10 +67,6 @@ class BadTheoremId(CubeError):
 
 class MissingParam(CubeError):
     """A bound evaluation is missing a required parameter."""
-
-
-class MixedDimensions(CubeError):
-    """Edge lists for the partite-representation check must share one dimension."""
 
 
 class CycleDoesNotFit(CubeError):

@@ -8,6 +8,7 @@ best-effort for n = 4 under a node/time budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,6 +87,8 @@ def exact_extremal(n: int, target: Pattern, forbid: Pattern,
         raise BadRange(f"unknown method {method!r}")
     if method == "exhaustive" and n > EXHAUSTIVE_MAX_N:
         raise DimensionTooLarge(f"exhaustive scan supports n <= {EXHAUSTIVE_MAX_N}")
+    if budget_seconds is not None and math.isnan(budget_seconds):
+        raise BadRange("budget_seconds is NaN; pass inf for no time limit")
 
     edges, tmasks, fmasks = search_instance(n, target, forbid)
     ambient = len(tmasks)

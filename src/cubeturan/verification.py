@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .core import StarVector, Subgraph, iter_subcubes, subcube_star_vector
 from .counting import CycleWitness, closed_count_qk, find_cycle
-from .errors import BadRange, MixedDimensions
+from .errors import BadRange
 from .patterns import CYCLE, SUBCUBE, Pattern
 
 
@@ -71,28 +71,24 @@ class PartiteRepresentation:
     sigma: tuple[int, ...]
 
 
-def has_k_partite_representation(edges, k: int) -> PartiteRepresentation | None:
-    """Find sigma: positions -> {1..k} giving every edge k distinctly-colored
-    non-zero positions, or None.
+def has_k_partite_representation(g: Subgraph, k: int) -> PartiteRepresentation | None:
+    """Find sigma: positions -> {1..k} giving every edge of g k distinctly-colored
+    non-zero positions, or None. The non-zero positions of the edge (v, p), v
+    its lower endpoint, are the ones of its upper endpoint v | 1 << p.
 
     Only positions that are non-zero in some edge are constrained; the rest
     map to 1. The search assigns constrained positions in increasing order,
     smallest color first, so the returned sigma is deterministic.
     """
-    edges = list(edges)
-    if not edges:
+    if not g.edge_count:
         raise BadRange("edge list must be non-empty")
     if k < 1:
         raise BadRange(f"need k >= 1, got {k}")
-    ell = edges[0].n
-    for sv in edges:
-        if sv.n != ell:
-            raise MixedDimensions(f"edges mix dimensions {ell} and {sv.n}")
-        if sv.k != 1:
-            raise BadRange(f"{sv.cells!r} is not an edge")
-    supports = [tuple(i for i, c in enumerate(sv.cells) if c != "0") for sv in edges]
-    if any(len(s) != k for s in supports):
+    ell = g.n
+    uppers = {v for v, m in g.masks.items() if m & v}
+    if any(v.bit_count() != k for v in uppers):
         return None
+    supports = [tuple(p for p in range(ell) if v >> p & 1) for v in sorted(uppers)]
     used = sorted({p for s in supports for p in s})
     conflicts: dict[int, set[int]] = {p: set() for p in used}
     for s in supports:

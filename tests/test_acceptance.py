@@ -225,7 +225,8 @@ def test_criterion_8_property_suites():
                 cells = "".join("*" if i == star else ("1" if i in nonzero else "0")
                                 for i in range(ell))
                 edges.append(StarVector(ell, cells))
-            got = has_k_partite_representation(edges, k) is not None
+            graph = Subgraph(ell, [sv.cells for sv in edges])
+            got = has_k_partite_representation(graph, k) is not None
             supports = [tuple(i for i, c in enumerate(sv.cells) if c != "0")
                         for sv in edges]
             want = all(len(s) == k for s in supports) and any(

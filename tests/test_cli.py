@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+from cubeturan.core import MAX_WHOLE_CUBE_N
 
 CMD = [sys.executable, "-m", "cubeturan"]
 
@@ -217,6 +220,9 @@ def test_word_count_refuses_huge_l_with_exit_4(argv):
     ("verify", "--forbid", "q2", "cube v1 n=1_0"),
     ("verify", "--forbid", "q2", "cube v1 n=+3"),
     ("verify", "--forbid", "q2", "cube v1 n=\uff13"),  # a full-width 3
+    ("search", "--n", "4", "--target", "e", "--forbid", "c6", "--budget-seconds", "nan"),
+    ("construct", "conder", "--out", os.devnull, "--n", str(MAX_WHOLE_CUBE_N + 1)),
+    ("construct", "mod3-select", "--l", "4", "--out", os.devnull, "--n", str(MAX_WHOLE_CUBE_N + 1)),
 ])
 def test_hostile_inputs_fail_with_a_structured_error(argv, tmp_path):
     if argv[-1].startswith("cube v1"):  # a file holding just this header

@@ -1,11 +1,14 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeturan.core import (
+    MAX_WHOLE_CUBE_N,
     StarVector,
     Subgraph,
     apply_automorphism,
@@ -16,10 +19,13 @@ from cubeturan.core import (
     edge_star_position,
     expand_edges,
     expand_vertices,
+    format_cells,
     full_cube,
     load_subgraph,
+    parse_cells,
     parse_star_vector,
     save_subgraph,
+    subgraph_where,
     vertex_to_bits,
 )
 from cubeturan.errors import (
@@ -54,6 +60,34 @@ def test_parse_errors():
         parse_star_vector("0101", 5)
     with pytest.raises(BadRange):
         StarVector(0, "")
+
+
+def test_cells_round_trip_every_word_up_to_n6():
+    for n in range(1, 7):
+        for word in map("".join, itertools.product("01*", repeat=n)):
+            stars, base = parse_cells(word, n)
+            assert stars == sum(1 << i for i, c in enumerate(word) if c == "*")
+            assert base == sum(1 << i for i, c in enumerate(word) if c == "1")
+            assert format_cells(n, stars, base) == word
+
+
+@pytest.mark.parametrize("call", [lambda: edge_endpoints("010"), lambda: edge_star_position("010"),
+                                  lambda: edge_layer("1**")])
+def test_edge_helpers_refuse_words_that_are_not_edges(call):
+    with pytest.raises(BadRange):
+        call()
+
+
+def test_star_text_is_read_and_written_only_in_core():
+    package = Path(__file__).resolve().parents[1] / "src" / "cubeturan"
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "core.py" and path.parent == package:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not (isinstance(node, ast.Constant) and node.value == "*"), path
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None) if isinstance(node, ast.alias) else None}
+            assert "STAR" not in names, path
 
 
 def test_expand_edges_small():
@@ -237,6 +271,11 @@ def test_load_ignores_comments_and_blanks(tmp_path):
 def test_dimension_cap():
     with pytest.raises(DimensionTooLarge):
         full_cube(31)
+    # the whole-cube builders stop lower, before allocating anything
+    with pytest.raises(DimensionTooLarge):
+        full_cube(MAX_WHOLE_CUBE_N + 1)
+    with pytest.raises(DimensionTooLarge):
+        subgraph_where(MAX_WHOLE_CUBE_N + 1, lambda v, p: True)
 
 
 def test_subgraph_validates_edges():

@@ -280,9 +280,11 @@ def test_ztable_discards_stale_version(tmp_path):
     assert table.get(3, 3) == 16  # recomputed, not the poisoned value
 
 
-# the last four are keys z never stores: z_{5,4} = 0 (k > l), k = 0, l = 1, a zero
+# then four keys z never stores: z_{5,4} = 0 (k > l), k = 0, l = 1, a zero;
+# last a value past int()'s 4300 digits
 @pytest.mark.parametrize("bad_line", ["z 4 4", "z 3 3 16 7", "y 3 3 16", "z 3 x 16",
-                                      "z 5 4 7", "z 0 4 5", "z 1 1 3", "z 4 4 0"])
+                                      "z 5 4 7", "z 0 4 5", "z 1 1 3", "z 4 4 0",
+                                      pytest.param("z 2 2 " + "1" * 5000, id="z 2 2 <5000 ones>")])
 def test_ztable_discards_malformed_cache(tmp_path, bad_line):
     path = tmp_path / "z.cache"
     path.write_text(f"# cubeturan-ztable {__version__}\nz 2 2 1\nz 3 3 999\n{bad_line}\n")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,13 @@ def test_validation():
         exact_extremal(4, parse_pattern("e"), parse_pattern("c4"), method="exhaustive")
     with pytest.raises(BadRange):
         exact_extremal(2, parse_pattern("c6"), parse_pattern("c4"))  # no C_6 in Q_2
+
+
+def test_nan_time_budget_is_refused_and_inf_is_no_limit():
+    # monotonic() >= nan is never true, so a NaN budget would silently be no budget
+    with pytest.raises(BadRange):
+        exact_extremal(4, parse_pattern("e"), parse_pattern("c6"), budget_seconds=math.nan)
+    assert exact_extremal(3, parse_pattern("e"), parse_pattern("c4"), budget_seconds=math.inf).value == 9
 
 
 def test_budget_exceeded_carries_sane_bounds():

@@ -12,7 +12,7 @@ from cubeturan.constructions import (
 )
 from cubeturan.core import StarVector, Subgraph, apply_automorphism, expand_edges, full_cube
 from cubeturan.counting import count_copies_qk, count_cycles
-from cubeturan.errors import BadRange, MixedDimensions
+from cubeturan.errors import BadRange
 from cubeturan.verification import (
     has_k_partite_representation,
     is_c2k_free,
@@ -99,12 +99,12 @@ def sigma_oracle(edges, k):
 
 
 def test_kpartite_examples():
-    rep = has_k_partite_representation([StarVector(2, "1*")], 2)
+    rep = has_k_partite_representation(Subgraph(2, ["1*"]), 2)
     assert rep is not None
     assert sorted(rep.sigma) == [1, 2]
-    q2 = [StarVector(2, c) for c in ("*0", "*1", "0*", "1*")]
+    q2 = Subgraph(2, ["*0", "*1", "0*", "1*"])
     assert has_k_partite_representation(q2, 2) is None
-    rep = has_k_partite_representation([StarVector(3, "1*0"), StarVector(3, "*10")], 2)
+    rep = has_k_partite_representation(Subgraph(3, ["1*0", "*10"]), 2)
     assert rep is not None
     assert rep.sigma[0] != rep.sigma[1]
 
@@ -123,7 +123,7 @@ def test_kpartite_matches_exhaustive_search():
                 for i in range(ell)
             )
             edges.append(StarVector(ell, cells))
-        rep = has_k_partite_representation(edges, k)
+        rep = has_k_partite_representation(Subgraph(ell, [sv.cells for sv in edges]), k)
         assert (rep is not None) == sigma_oracle(edges, k)
         if rep is not None:
             for sv in edges:
@@ -132,9 +132,5 @@ def test_kpartite_matches_exhaustive_search():
 
 
 def test_kpartite_validation():
-    with pytest.raises(MixedDimensions):
-        has_k_partite_representation([StarVector(2, "1*"), StarVector(3, "1*0")], 2)
     with pytest.raises(BadRange):
-        has_k_partite_representation([], 2)
-    with pytest.raises(BadRange):
-        has_k_partite_representation([StarVector(3, "1**")], 2)
+        has_k_partite_representation(Subgraph(2, []), 2)

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .core import check_closed_form_dimension
 from .errors import BadRange, BadTheoremId, MissingParam
-from .zwords import min_star_count
+from .zwords import min_star_count, z_kl
 
 LOWER = "lower"
 UPPER = "upper"
@@ -72,12 +72,8 @@ def _need(params: dict, *names: str) -> list[int]:
 
 
 def _zll(z, ell: int) -> int:
-    if z is None:
-        raise MissingParam("a z-table is required (z_{l,l} appears in the bound)")
-    try:
-        return z[ell, ell]
-    except KeyError:
-        raise MissingParam(f"z-table lacks the (l,l)=({ell},{ell}) entry") from None
+    """z_{l,l}: read from `z` (a ZTable or any mapping holding the key), else counted."""
+    return z_kl(ell, ell) if z is None else z[ell, ell]
 
 
 def t1_lower_branches(ell: int, k: int) -> tuple[Fraction, Fraction]:

@@ -213,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int,
                        default=max(1, os.cpu_count() or 1),
                        help="worker threads (results are thread-count independent)")
+
+    def z_cache(p):  # only the verbs that read z values
         p.add_argument("--z-cache", default=os.environ.get(ZCACHE_ENV),
                        help=f"z-table cache file (default ${ZCACHE_ENV})")
 
@@ -221,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, help="e, q<k> or c<m>")
     p.add_argument("--input", help="subgraph file; omit to count in Q_n itself")
     common(p)
+    z_cache(p)
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("zl", help="z_{k,l}: cycles in Q_k using all k positions")
@@ -232,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-small", action="store_true",
                    help="evaluate the word formula below l=4")
     common(p)
+    z_cache(p)
     p.set_defaults(handler=_cmd_zl)
 
     p = sub.add_parser("zwords", help="the word set Z(l) and its cardinality")
@@ -253,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="subgraph file to write")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))
-    p.add_argument("--z-cache", default=os.environ.get(ZCACHE_ENV))
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("verify", help="exhaustively check a subgraph file for a forbidden pattern")
@@ -290,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int)
     p.add_argument("--exact", help="measured density NUM/DEN for a sandwich report")
     common(p)
+    z_cache(p)
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("kpartite", help="search for a k-partite representation of an edge set")

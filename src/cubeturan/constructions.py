@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .core import (
     StarVector,
     Subgraph,
-    edge_pair,
     edge_pair_masks,
     full_cube,
     iter_subcubes,
@@ -70,13 +69,6 @@ def _residue_hit(v: int, p: int, lo: int, hi: int, i: int, j: int) -> bool:
     return (v & ((1 << p) - 1)).bit_count() % lo == i and (v >> (p + 1)).bit_count() % hi == j
 
 
-def aks_deletes(key: str, k: int, i: int, j: int) -> bool:
-    """Deletion predicate: ones(prefix) = i mod floor((k+1)/2) and
-    ones(suffix) = j mod ceil((k+1)/2)."""
-    bit, v = edge_pair(key, len(key))
-    return _residue_hit(v, bit.bit_length() - 1, (k + 1) // 2, (k + 2) // 2, i, j)
-
-
 def aks_graph(n: int, k: int, i: int, j: int) -> Subgraph:
     """Q_n minus the edges hit by the (i, j) residue pair; Q_k-free.
 
@@ -92,12 +84,6 @@ def aks_graph(n: int, k: int, i: int, j: int) -> Subgraph:
                           f"aks(n={n},k={k},i={i},j={j})")
 
 
-def aks_appendix_deletes(key: str, k: int) -> bool:
-    """Variant predicate with both residues 0 and moduli floor/ceil((k-1)/2)."""
-    bit, v = edge_pair(key, len(key))
-    return _residue_hit(v, bit.bit_length() - 1, (k - 1) // 2, k // 2, 0, 0)
-
-
 def aks_appendix_graph(n: int, k: int) -> Subgraph:
     """Single-graph variant of the residue deletion; Q_k-free for k >= 3."""
     if k < 3:
@@ -110,19 +96,13 @@ def aks_appendix_graph(n: int, k: int) -> Subgraph:
 # ---------------------------------------------------------------------------
 # parity-selected Q_2 packing (C_6-free)
 
-def parity_q2_selection(n: int) -> list[StarVector]:
-    """Q_2 names with adjacent stars at (s, s+1), s even 0-based (odd in
-    1-based prose), and even ones-counts in both prefix and suffix. They are
-    exactly the Q_2's of parity_q2_packing(n): of two parallel edges whose
-    bases differ at a position other than the star's partner p ^ 1, one has
-    an odd prefix or suffix, so every Q_2 there has stars {p, p ^ 1}."""
-    return [subcube_star_vector(n, *pair) for pair in iter_subcubes(parity_q2_packing(n), 2)]
-
-
 def parity_q2_packing(n: int) -> Subgraph:
-    """Union of the parity-selected Q_2's; the selection is edge-disjoint and
-    the union is C_6-free. The edge (v, p) lies in the one with stars s = p & ~1
-    and s+1, if s+1 < n, iff v has even weight both before s and after s+1."""
+    """Union of the parity-selected Q_2's: stars at s and s+1, s even 0-based (odd
+    in 1-based prose), and even weight both before s and after s+1, so the edge
+    (v, p) lies in the one with s = p & ~1 if s+1 < n and v passes that test. The
+    selection is edge-disjoint, the union is C_6-free and its Q_2's are exactly
+    the selected ones: in a Q_2 with stars {p, q}, q != p ^ 1, one of the two
+    edges along p has an odd prefix or suffix, so it is not in the union."""
     if n < 3:
         raise BadRange(f"need n >= 3, got {n}")
 
@@ -166,22 +146,11 @@ def _mod3_hit(stars: int, base: int) -> bool:
     return True
 
 
-def mod3_selected(sv: StarVector) -> bool:
-    """Does this Q_l name satisfy the segment residue pattern?"""
-    return _mod3_hit(*sv.pair)
-
-
 def _mod3_pairs(n: int, ell: int) -> list[tuple[int, int]]:
     """(star mask, base) of every selected Q_l, in `iter_subcubes` order."""
     if ell < 4 or n < ell:
         raise BadRange(f"need l >= 4 and n >= l, got l={ell}, n={n}")
     return [pair for pair in iter_subcubes(full_cube(n), ell) if _mod3_hit(*pair)]
-
-
-def mod3_ql_selection(n: int, ell: int) -> list[StarVector]:
-    """All selected Q_l names, by enumeration (selection order is the
-    deterministic subcube iteration order)."""
-    return [subcube_star_vector(n, *pair) for pair in _mod3_pairs(n, ell)]
 
 
 def mod3_ql_selection_count(n: int, ell: int) -> int:
@@ -269,6 +238,8 @@ def disjoint_qm_packing(n: int, m: int, with_cycles: bool = False,
     if not 1 <= m <= n:
         raise BadRange(f"need 1 <= m <= n, got m={m}, n={n}")
     if not with_cycles:
+        if ell is not None:
+            raise BadRange(f"l names the cycle of each copy, so it needs with_cycles, got l={ell}")
         return subgraph_where(n, lambda v, p: p < m, f"qm-packing(n={n},m={m})")
     if ell is None or ell < 2:
         raise BadRange(f"with_cycles needs l >= 2, got {ell}")
@@ -286,15 +257,25 @@ def disjoint_qm_packing(n: int, m: int, with_cycles: bool = False,
 # ---------------------------------------------------------------------------
 # construction registry (the CLI dispatch surface)
 
-KINDS = (
-    "layer-complement", "aks", "aks-appendix", "parity-q2", "conder",
-    "mod3-select", "conder-cycles", "qm-packing", "layer-mod", "even-odd",
-)
+#: every kind and the parameters it reads; a spec holding any other is refused
+KINDS = {
+    "layer-complement": ("n", "k", "i"),
+    "aks": ("n", "k", "i", "j"),
+    "aks-appendix": ("n", "k"),
+    "parity-q2": ("n",),
+    "conder": ("n",),
+    "mod3-select": ("n", "l"),
+    "conder-cycles": ("n", "l"),
+    "qm-packing": ("n", "m", "with_cycles", "l"),
+    "layer-mod": ("n", "k", "j", "complement"),
+    "even-odd": ("n", "j"),
+}
 
 
 @dataclass(frozen=True)
 class ConstructionSpec:
-    """A named construction plus its validated integer/flag parameters."""
+    """A named construction plus its validated integer/flag parameters: those
+    its kind reads, in KINDS, and no other."""
 
     kind: str
     params: dict
@@ -302,6 +283,9 @@ class ConstructionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise BadRange(f"unknown construction {self.kind!r}")
+        unread = sorted(set(self.params) - set(KINDS[self.kind]))
+        if unread:
+            raise BadRange(f"construction {self.kind!r} does not read {', '.join(unread)}")
 
     def _p(self, name: str) -> int:
         if name not in self.params:

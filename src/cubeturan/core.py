@@ -132,13 +132,6 @@ def vertex_to_bits(v: int, n: int) -> str:
     return format_cells(n, 0, v)
 
 
-def bits_to_vertex(bits: str) -> int:
-    stars, v = parse_cells(bits, len(bits))
-    if stars:
-        raise BadChar(f"invalid vertex bit '*' in {bits!r}")
-    return v
-
-
 def subcube_vertices(stars: int, base: int) -> list[int]:
     """The 2^k vertices of the Q_k with star mask `stars` and base `base`, in fill
     order: index bit j sets the j-th lowest star position."""
@@ -177,10 +170,6 @@ def expand_edges(sv: StarVector) -> list[StarVector]:
 def _edge(edge: StarVector | str) -> tuple[int, int]:
     cells = edge.cells if isinstance(edge, StarVector) else edge
     return edge_pair(cells, len(cells))
-
-
-def edge_star_position(edge: StarVector | str) -> int:
-    return _edge(edge)[0].bit_length() - 1
 
 
 def edge_layer(edge: StarVector | str) -> int:

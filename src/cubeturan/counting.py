@@ -17,13 +17,8 @@ from fractions import Fraction
 from ._kernels import count_cycles_kernel, find_cycle_kernel
 from ._kernels._cycles_py import collect_cycles
 from ._version import __version__
-from .core import Subgraph, check_closed_form_dimension, edge_key_from_endpoints, iter_subcubes
-from .errors import (
-    BadLength,
-    BadRange,
-    EnumerationTooLarge,
-    MissingZEntry,
-)
+from .core import Subgraph, check_closed_form_dimension, iter_subcubes
+from .errors import BadLength, BadRange, EnumerationTooLarge
 from .patterns import CYCLE, EDGE, SUBCUBE, Pattern
 from .zwords import min_star_count, z_kl, z_positive
 
@@ -39,22 +34,17 @@ def closed_count_qk(n: int, k: int) -> int:
     return math.comb(n, k) << (n - k)
 
 
-def closed_count_c2l(n: int, ell: int, z) -> int:
+def closed_count_c2l(n: int, ell: int, z=None) -> int:
     """N(Q_n, C_2l) = sum over k of C(n,k) * 2^(n-k) * z_{k,l}.
 
-    k runs from ceil(log2(2l)) to min(l, n). `z` is indexed z[k, l]: a plain
-    mapping (missing entries raise MissingZEntry) or a ZTable (computes on demand).
+    k runs from ceil(log2(2l)) to min(l, n). z[k, l] is read from `z`, a ZTable
+    (a fresh one by default) or any mapping holding those keys.
     """
     if n < 1 or ell < 2 or min_star_count(ell) > n:
         raise BadRange(f"need 2 <= l <= 2^(n-1), got n={n}, l={ell}")
-    total = 0
-    for k in range(min_star_count(ell), min(ell, n) + 1):
-        try:
-            zk = z[k, ell]
-        except KeyError:
-            raise MissingZEntry(f"no z entry for (k={k}, l={ell})") from None
-        total += closed_count_qk(n, k) * zk
-    return total
+    z = ZTable() if z is None else z
+    return sum(closed_count_qk(n, k) * z[k, ell]
+               for k in range(min_star_count(ell), min(ell, n) + 1))
 
 
 class ZTable:
@@ -177,9 +167,6 @@ class CycleWitness:
         vs = self.vertices
         return [(min(u, v), max(u, v)) for u, v in zip(vs, vs[1:] + vs[:1])]
 
-    def edge_keys(self) -> list[str]:
-        return [edge_key_from_endpoints(u, v, self.n) for u, v in self.edge_pairs()]
-
     def to_json_dict(self) -> dict:
         return {"length": self.length, "vertices": list(self.vertices)}
 
@@ -265,7 +252,7 @@ def ambient_count(n: int, pattern: Pattern, z=None) -> int:
     ell = pattern.order // 2
     if min_star_count(ell) > n:
         return 0
-    return closed_count_c2l(n, ell, z if z is not None else ZTable())
+    return closed_count_c2l(n, ell, z)
 
 
 def count_in_subgraph(g: Subgraph, pattern: Pattern, threads: int = 1) -> int:

@@ -53,10 +53,6 @@ class DuplicateEdge(ParseError):
     """The same edge appears twice in a subgraph file."""
 
 
-class MissingZEntry(CubeError):
-    """A cycle-count formula needs a z-table entry that was not supplied."""
-
-
 class NonIntegralResult(CubeError):
     """An exact division came out non-integral, signalling a violated assumption."""
 

@@ -17,7 +17,7 @@ from .core import (Subgraph, edge_key_from_endpoints, edge_pair_masks, full_cube
                    iter_subcubes, subcube_edges)
 from .counting import count_in_subgraph, enumerate_cycle_witnesses
 from .errors import BadRange, CubeError, DimensionTooLarge
-from .patterns import CYCLE, SUBCUBE, Pattern
+from .patterns import CYCLE, Pattern
 from .verification import is_pattern_free
 
 SEARCH_MAX_N = 4
@@ -96,15 +96,15 @@ def exact_extremal(n: int, target: Pattern, forbid: Pattern,
         raise BadRange(f"target {target} has no copies in Q_{n}")
     if method == "exhaustive":
         value, kept, nodes = _exhaustive(len(edges), tmasks, fmasks)
+    elif not fmasks:  # nothing to break: every edge is kept
+        value, kept, nodes = ambient, (1 << len(edges)) - 1, 1
     else:
-        value, kept, nodes = _branch_and_bound(
-            len(edges), tmasks, fmasks, budget_nodes, budget_seconds
-        )
+        value, kept, nodes = bb_search_kernel(len(edges), tmasks, fmasks,
+                                              budget_nodes, budget_seconds)
 
     witness = Subgraph(n, name=f"extremal(n={n},target={target},forbid={forbid})",
                        masks=edge_pair_masks(e for i, e in enumerate(edges) if kept >> i & 1))
-    # Q_k with k > n cannot occur; any other pattern is re-checked by its own scan
-    if not (forbid.kind == SUBCUBE and forbid.order > n or is_pattern_free(witness, forbid).free):
+    if not is_pattern_free(witness, forbid).free:
         raise CubeError("internal error: witness failed re-verification")
     recount = count_in_subgraph(witness, target)
     if recount != value:
@@ -123,18 +123,3 @@ def _exhaustive(ne: int, tmasks, fmasks) -> tuple[int, int, int]:
             best, best_kept = cnt, keep
     return best, best_kept, 1 << ne
 
-
-def _branch_and_bound(ne, tmasks, fmasks, budget_nodes, budget_seconds):
-    """(most target copies in a kept edge set that breaks every forbidden copy,
-    that kept set as a mask, nodes explored), by the selected bb_search_kernel;
-    BudgetExceeded when a budget runs out. With no forbidden copy every edge is kept."""
-    if not fmasks:
-        return len(tmasks), (1 << ne) - 1, 1
-    return bb_search_kernel(ne, tmasks, fmasks, budget_nodes, budget_seconds)
-
-
-def density(n: int, target: Pattern, forbid: Pattern,
-            budget_nodes: int | None = None,
-            budget_seconds: float | None = None) -> Fraction:
-    """Optimal target count divided by the ambient count, as an exact rational."""
-    return exact_extremal(n, target, forbid, budget_nodes, budget_seconds).density

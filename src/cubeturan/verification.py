@@ -24,9 +24,12 @@ class FreenessVerdict:
 def is_qk_free(g: Subgraph, k: int) -> FreenessVerdict:
     """Scan all Q_k names (colex position sets, ascending fills); stop at the
     first one fully contained in g. checked_count is that name's 1-based
-    index: the colex rank of its positions times 2^(n-k), plus its fill."""
-    if not 1 <= k <= g.n:
-        raise BadRange(f"need 1 <= k <= n, got k={k}, n={g.n}")
+    index: the colex rank of its positions times 2^(n-k), plus its fill.
+    With k > n there is no name to check: free, with checked_count 0."""
+    if k < 1:
+        raise BadRange(f"need k >= 1, got k={k}")
+    if k > g.n:
+        return FreenessVerdict(True, None, 0)
     first = next(iter_subcubes(g, k), None)
     if first is None:
         return FreenessVerdict(True, None, closed_count_qk(g.n, k))

@@ -1,9 +1,11 @@
-"""Brute-force oracles shared across test modules.
+"""Brute-force oracles shared across test modules, and `density`, the
+shorthand through which the search tests read exact densities.
 
 Deliberately naive and independent of the package's counting algorithms:
 adjacency is rebuilt from edge strings by hand, cycles are counted as closed
 non-repeating walks or collected as edge-set frozensets with no
-canonicalization tricks.
+canonicalization tricks, and the constructions' selection rules count the 1s
+of prefixes, suffixes and segments in the cell text.
 """
 
 from __future__ import annotations
@@ -141,6 +143,53 @@ def brute_z_kl(k: int, ell: int) -> int:
     total, rest = divmod(through_zero << k, 2 * ell)
     assert rest == 0
     return total
+
+
+def aks_oracle_deletes(key: str, lo: int, hi: int, i: int, j: int) -> bool:
+    """The residue deletion rule on an edge's cell text: the 1s left of the star
+    are i mod lo and the 1s right of it are j mod hi. The (k+1)/2 family uses
+    lo, hi = floor((k+1)/2), ceil((k+1)/2); the (k-1)/2 variant uses
+    floor((k-1)/2), ceil((k-1)/2) with i = j = 0."""
+    prefix, _, suffix = key.partition("*")
+    return prefix.count("1") % lo == i and suffix.count("1") % hi == j
+
+
+def mod3_oracle_selected(cells: str) -> bool:
+    """The mod-3 segment rule on a Q_l name's cell text: the l + 1 segments
+    around the stars hold 0 mod 3 ones each, except that for l in {4, 5} the
+    l - 1 inner segments hold 1 mod 3."""
+    segments = cells.split("*")
+    ell = len(segments) - 1
+    inner = 1 if ell in (4, 5) else 0
+    targets = [0] + [inner] * (ell - 1) + [0]
+    return all(seg.count("1") % 3 == t for seg, t in zip(segments, targets))
+
+
+def subcube_names(n: int, k: int):
+    """Every Q_k name of Q_n as cell text, built character by character."""
+    for pos in itertools.combinations(range(n), k):
+        for fill in itertools.product("01", repeat=n - k):
+            rest = iter(fill)
+            yield "".join("*" if i in pos else next(rest) for i in range(n))
+
+
+def parity_q2_selection(n: int) -> list[str]:
+    """The parity-selected Q_2 names: stars at positions s and s + 1 with s even,
+    and an even number of 1s both left and right of the two stars."""
+    selected = []
+    for name in subcube_names(n, 2):
+        prefix, middle, suffix = name.split("*")
+        if not middle and len(prefix) % 2 == 0 and prefix.count("1") % 2 == 0 \
+                and suffix.count("1") % 2 == 0:
+            selected.append(name)
+    return selected
+
+
+def density(n: int, target, forbid):
+    """The exact extremal density d(Q_n, target, forbid), as search reports it."""
+    from cubeturan.search import exact_extremal
+
+    return exact_extremal(n, target, forbid).density
 
 
 def random_subgraph(n: int, keep_probability: float, rng: random.Random):

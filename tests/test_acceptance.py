@@ -12,7 +12,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from helpers import closed_walk_count, random_automorphism, random_subgraph
+from helpers import (
+    closed_walk_count,
+    density,
+    parity_q2_selection,
+    random_automorphism,
+    random_subgraph,
+)
 
 from cubeturan.constructions import (
     aks_appendix_graph,
@@ -24,7 +30,6 @@ from cubeturan.constructions import (
     layer_union_mod,
     mod3_ql_selection_count,
     parity_q2_packing,
-    parity_q2_selection,
 )
 from cubeturan.core import StarVector, Subgraph, apply_automorphism, full_cube
 from cubeturan.counting import (
@@ -37,7 +42,7 @@ from cubeturan.counting import (
     z_kl,
 )
 from cubeturan.patterns import parse_pattern
-from cubeturan.search import density, exact_extremal
+from cubeturan.search import exact_extremal
 from cubeturan.verification import (
     has_k_partite_representation,
     is_c2k_free,

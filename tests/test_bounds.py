@@ -54,8 +54,7 @@ def test_t3():
     assert bv.value == Fraction(1, 4 ** 5 * 648)
     assert bv.asymptotic
     assert eval_bound("T3", "upper", {"l": 4}).value == Fraction("0.36577")
-    with pytest.raises(MissingParam):
-        eval_bound("T3", "lower", {"l": 4})
+    assert eval_bound("T3", "lower", {"l": 4}).value == bv.value  # z_{4,4} counted
     with pytest.raises(BadRange):
         eval_bound("T3", "lower", {"l": 3}, z=z)
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from cubeturan.cli import build_parser
 from cubeturan.core import MAX_WHOLE_CUBE_N
 
 CMD = [sys.executable, "-m", "cubeturan"]
@@ -36,6 +37,34 @@ def test_construct_then_verify(tmp_path):
     check = run_cli("verify", "--forbid", "c6", str(out))
     assert check.returncode == 0
     assert json.loads(check.stdout)["free"] is True
+
+
+def test_construct_refuses_a_parameter_its_kind_does_not_read(tmp_path):
+    out = tmp_path / "g.cube"
+    for argv in (("even-odd", "--n", "3", "--j", "1", "--complement"),
+                 ("conder", "--n", "4", "--k", "3", "--m", "9")):
+        proc = run_cli("construct", *argv, "--out", str(out))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "BadRange"
+        assert not out.exists() and not (tmp_path / "g.cube.json").exists()
+
+
+def test_verify_of_a_subcube_larger_than_the_cube_says_free(tmp_path):
+    out = tmp_path / "q3.cube"
+    assert run_cli("construct", "qm-packing", "--n", "3", "--m", "3", "--out", str(out)).returncode == 0
+    proc = run_cli("verify", "--forbid", "q4", str(out))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"forbid": "q4", "free": True, "witness": None,
+                                       "checked_count": 0}
+
+
+@pytest.mark.parametrize("verb", ["zwords", "construct", "verify", "search", "density",
+                                  "kpartite", "count", "zl", "bounds"])
+def test_only_the_verbs_that_read_z_take_a_z_cache(verb):
+    sub = next(a for a in build_parser()._actions if a.dest == "verb").choices[verb]
+    flags = {flag for action in sub._actions for flag in action.option_strings}
+    assert ("--z-cache" in flags) == (verb in ("count", "zl", "bounds"))
+    assert "--threads" in flags  # every verb takes it, whether or not it reads it
 
 
 def test_verify_finds_witness(tmp_path):

@@ -2,13 +2,20 @@ import math
 from fractions import Fraction
 
 import pytest
-from helpers import brute_cycle_edge_sets
+from helpers import (
+    aks_oracle_deletes,
+    brute_cycle_edge_sets,
+    mod3_oracle_selected,
+    parity_q2_selection,
+    subcube_names,
+)
 
 from cubeturan.constructions import (
+    KINDS,
     ConstructionSpec,
-    aks_appendix_deletes,
+    _mod3_hit,
+    _residue_hit,
     aks_appendix_graph,
-    aks_deletes,
     aks_graph,
     conder_cycle_family,
     conder_graph,
@@ -16,13 +23,20 @@ from cubeturan.constructions import (
     even_odd_layers,
     layer_complement,
     layer_union_mod,
-    mod3_ql_selection,
     mod3_ql_selection_count,
-    mod3_selected,
     parity_q2_packing,
-    parity_q2_selection,
 )
-from cubeturan.core import StarVector, edge_layer, full_cube, save_subgraph
+from cubeturan.core import (
+    StarVector,
+    Subgraph,
+    edge_layer,
+    edge_pair,
+    expand_edges,
+    format_cells,
+    full_cube,
+    iter_subcubes,
+    save_subgraph,
+)
 from cubeturan.counting import count_copies_qk, count_cycles
 from cubeturan.errors import BadRange, CycleDoesNotFit
 
@@ -66,25 +80,47 @@ def test_aks_graph_q2_example():
 
 
 def test_residue_deletion_worked_edges():
-    # the displayed Q_7 with its two inline star assignments, in dimension 26
+    # the displayed Q_7 with its two inline star assignments, in dimension 26,
+    # past the whole-cube cap, so the rule is read on the edge alone: by the
+    # cell-text oracle and by the predicate the builders evaluate
+    def deletes(key, lo, hi):
+        bit, v = edge_pair(key, len(key))
+        hit = _residue_hit(v, bit.bit_length() - 1, lo, hi, 0, 0)
+        assert hit == aks_oracle_deletes(key, lo, hi, 0, 0), key
+        return hit
+
     left_100 = "010" + "1" + "100" + "0" + "" + "0" + "001"
     right_110_a = "1010" + "1" + "101" + "1" + "101" + "0"
     edge_a = left_100 + "*" + right_110_a
     assert len(edge_a) == 26
     # ones are 4 and 8: hit residue (0,0) for moduli (4,4), i.e. the (k+1)/2 family
-    assert aks_deletes(edge_a, 7, 0, 0)
+    assert deletes(edge_a, 4, 4)
     # but not the (k-1)/2 variant whose moduli are (3,3)
-    assert not aks_appendix_deletes(edge_a, 7)
+    assert not deletes(edge_a, 3, 3)
 
     left_000 = "010" + "0" + "100" + "0" + "" + "0" + "001"
     right_110_b = "1110" + "1" + "101" + "1" + "101" + "0"
     edge_b = left_000 + "*" + right_110_b
     # ones are 3 and 9: deleted by the variant, untouched by the (i,j) family
-    assert aks_appendix_deletes(edge_b, 7)
-    assert not aks_deletes(edge_b, 7, 0, 0)
+    assert deletes(edge_b, 3, 3)
+    assert not deletes(edge_b, 4, 4)
 
     right_000 = "1010" + "0" + "101" + "0" + "101" + "0"
-    assert aks_appendix_deletes(left_000 + "*" + right_000, 7)
+    assert deletes(left_000 + "*" + right_000, 3, 3)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_residue_deletion_graphs_match_the_cell_text_oracle(n):
+    edges = sorted(full_cube(n).edges)
+    for k in range(2, n + 1):
+        lo, hi = (k + 1) // 2, (k + 2) // 2
+        for i in range(lo):
+            for j in range(hi):
+                kept = [e for e in edges if not aks_oracle_deletes(e, lo, hi, i, j)]
+                assert aks_graph(n, k, i, j) == Subgraph(n, kept), (k, i, j)
+        if k >= 3:
+            kept = [e for e in edges if not aks_oracle_deletes(e, (k - 1) // 2, k // 2, 0, 0)]
+            assert aks_appendix_graph(n, k) == Subgraph(n, kept), k
 
 
 def test_aks_appendix_validation_and_degenerate_k3():
@@ -102,19 +138,22 @@ def test_aks_appendix_validation_and_degenerate_k3():
 def test_parity_selection_small():
     sel = parity_q2_selection(5)
     assert len(sel) == 6
-    for sv in sel:
-        a, b = sv.star_positions
+    for cells in sel:
+        a, b = StarVector(5, cells).star_positions
         assert b == a + 1 and a % 2 == 0
-        pre, _, suf = sv.cells.partition("**")
-        assert pre.count("1") % 2 == 0 and suf.count("1") % 2 == 0
+    # the packing's Q_2's are exactly the selected names
+    packed = [format_cells(5, *pair) for pair in iter_subcubes(parity_q2_packing(5), 2)]
+    assert sorted(packed) == sorted(sel)
     with pytest.raises(BadRange):
-        parity_q2_selection(2)
+        parity_q2_packing(2)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_parity_selection_edge_disjoint(n):
     sel = parity_q2_selection(n)
-    assert parity_q2_packing(n).edge_count == 4 * len(sel)
+    union = [e.cells for name in sel for e in expand_edges(StarVector(n, name))]
+    assert len(set(union)) == len(union) == 4 * len(sel)
+    assert parity_q2_packing(n) == Subgraph(n, union)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -126,6 +165,7 @@ def test_parity_selection_count_formula(n):
         for s in range(0, n - 1, 2)
     )
     assert len(parity_q2_selection(n)) == expected
+    assert count_copies_qk(parity_q2_packing(n), 2) == expected
 
 
 @pytest.mark.parametrize("n", range(5, 15))
@@ -140,20 +180,29 @@ def test_conder_graph_small():
 
 
 def test_mod3_selection_rule_on_inline_examples():
-    assert mod3_selected(StarVector(12, "*1101**0***0"))
-    assert not mod3_selected(StarVector(9, "1***0***0"))
+    def selected(cells):
+        hit = _mod3_hit(*StarVector(len(cells), cells).pair)
+        assert hit == mod3_oracle_selected(cells), cells
+        return hit
+
+    assert selected("*1101**0***0")
+    assert not selected("1***0***0")
     # the l=4 inline example violates the displayed rule (its empty middle
     # segment has 0 ones, not 1 mod 3), so the rule rejects it
-    assert not mod3_selected(StarVector(11, "*11011**1*0"))
-    assert mod3_selected(StarVector(8, "*1*1*1*0"))
+    assert not selected("*11011**1*0")
+    assert selected("*1*1*1*0")
 
 
 def test_mod3_selection_enumeration_matches_closed_form():
     for n, ell in ((7, 4), (8, 4), (9, 4), (12, 4), (9, 5), (10, 5), (6, 6), (8, 6)):
-        assert len(mod3_ql_selection(n, ell)) == mod3_ql_selection_count(n, ell)
+        sel = [name for name in subcube_names(n, ell) if mod3_oracle_selected(name)]
+        assert len(sel) == mod3_ql_selection_count(n, ell), (n, ell)
+        built = ConstructionSpec("mod3-select", {"n": n, "l": ell}).build()
+        assert built == Subgraph(n, {e.cells for name in sel
+                                     for e in expand_edges(StarVector(n, name))})
     assert mod3_ql_selection_count(12, 4) == 1122
     with pytest.raises(BadRange):
-        mod3_ql_selection(5, 3)
+        ConstructionSpec("mod3-select", {"n": 5, "l": 3}).build()
 
 
 def test_mod3_selection_count_16_4():
@@ -174,13 +223,14 @@ def test_cycle_family_tables():
 def test_cycle_family_lies_in_conder_graph(n, ell):
     fam = conder_cycle_family(n, ell)
     cg = conder_graph(n)
-    assert len(fam.members) == len(mod3_ql_selection(n, ell)) > 0
+    sel = [name for name in subcube_names(n, ell) if mod3_oracle_selected(name)]
+    assert sorted(sv.cells for sv, _ in fam.members) == sorted(sel) != []
     seen = set()
     for sv, witness in fam.members:
         assert witness.length == 2 * ell
         assert set(witness.star_list) == set(sv.star_positions)
-        for e in witness.edge_keys():
-            assert cg.has_edge(e)
+        for u, v in witness.edge_pairs():
+            assert cg.masks.get(u, 0) & (u ^ v)
         seen.add(witness.vertices)
     assert len(seen) == len(fam.members)
     assert fam.union_graph.edges <= cg.edges
@@ -251,3 +301,17 @@ def test_construction_spec_dispatch_and_claims():
         ConstructionSpec("nope", {})
     with pytest.raises(BadRange):
         ConstructionSpec("aks", {"n": 4}).build()
+
+
+def test_construction_spec_refuses_parameters_its_kind_does_not_read():
+    for kind, params in (("even-odd", {"n": 3, "j": 1, "complement": True}),
+                         ("conder", {"n": 4, "k": 3, "m": 9}),
+                         ("parity-q2", {"n": 4, "with_cycles": True}),
+                         ("aks-appendix", {"n": 5, "k": 3, "i": 0})):
+        assert set(params) - set(KINDS[kind])
+        with pytest.raises(BadRange, match="does not read"):
+            ConstructionSpec(kind, params)
+    # qm-packing reads l only for the cycle it puts in each copy
+    with pytest.raises(BadRange):
+        ConstructionSpec("qm-packing", {"n": 4, "m": 2, "l": 2}).build()
+    assert ConstructionSpec("qm-packing", {"n": 4, "m": 2}).build().edge_count == 16

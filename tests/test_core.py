@@ -12,11 +12,10 @@ from cubeturan.core import (
     StarVector,
     Subgraph,
     apply_automorphism,
-    bits_to_vertex,
     compose_automorphisms,
     edge_endpoints,
     edge_layer,
-    edge_star_position,
+    edge_pair,
     expand_edges,
     expand_vertices,
     format_cells,
@@ -71,17 +70,60 @@ def test_cells_round_trip_every_word_up_to_n6():
             assert format_cells(n, stars, base) == word
 
 
-@pytest.mark.parametrize("call", [lambda: edge_endpoints("010"), lambda: edge_star_position("010"),
+@pytest.mark.parametrize("call", [lambda: edge_endpoints("010"), lambda: edge_pair("010", 3),
                                   lambda: edge_layer("1**")])
 def test_edge_helpers_refuse_words_that_are_not_edges(call):
     with pytest.raises(BadRange):
         call()
 
 
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cubeturan"
+
+#: top-level names that only tests call today, each with the open item that gives it a caller
+NO_CALLER_YET = {
+    "compose_automorphisms": "orbital branching under Aut(Q_n) composes automorphisms "
+                             "(ROADMAP item 2)",
+    "mod3_ql_selection_count": "mod3-select lists the selected bases from its segment "
+                               "counts instead of scanning Q_n (ROADMAP item 9)",
+}
+
+
+def test_every_top_level_name_has_a_caller_in_the_package():
+    """A function, class or constant defined at the top of a module must be named
+    by some other top-level statement of the package (an import, an export, a
+    call, an attribute), not only by itself or by the tests."""
+    def defined(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [stmt.name]
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+    def named(stmt):
+        out = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+        return out
+
+    stmts = [(path, stmt) for path in sorted(PACKAGE.rglob("*.py"))
+             for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    uses = [named(stmt) for _, stmt in stmts]
+    orphans = sorted(f"{path.relative_to(PACKAGE)}:{name}"
+                     for i, (path, stmt) in enumerate(stmts) for name in defined(stmt)
+                     if not any(name in used for j, used in enumerate(uses) if j != i))
+    assert [o for o in orphans if o.split(":")[1] not in NO_CALLER_YET] == []
+    # and every allowlisted name still exists and still lacks a caller
+    assert sorted(o.split(":")[1] for o in orphans) == sorted(NO_CALLER_YET)
+
+
 def test_star_text_is_read_and_written_only_in_core():
-    package = Path(__file__).resolve().parents[1] / "src" / "cubeturan"
-    for path in sorted(package.rglob("*.py")):
-        if path.name == "core.py" and path.parent == package:
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "core.py" and path.parent == PACKAGE:
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             assert not (isinstance(node, ast.Constant) and node.value == "*"), path
@@ -119,11 +161,6 @@ def test_expand_vertices():
     assert sorted(expand_vertices(StarVector(2, "**"))) == [0, 1, 2, 3]
 
 
-def test_vertex_bits_round_trip():
-    for v in range(16):
-        assert bits_to_vertex(vertex_to_bits(v, 4)) == v
-
-
 @pytest.mark.parametrize("edge,layer", [("01*10", 2), ("*000", 0), ("111*", 3)])
 def test_edge_layer(edge, layer):
     assert edge_layer(edge) == layer
@@ -133,7 +170,6 @@ def test_edge_endpoints():
     u, v = edge_endpoints("01*10")
     assert vertex_to_bits(u, 5) == "01010"
     assert vertex_to_bits(v, 5) == "01110"
-    assert edge_star_position("01*10") == 2
 
 
 @settings(max_examples=100, deadline=None)

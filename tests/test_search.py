@@ -2,19 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from helpers import density
 
 from cubeturan.core import edge_endpoints, full_cube
 from cubeturan.counting import ambient_count, count_in_subgraph
 from cubeturan.errors import BadRange, BudgetExceeded, DimensionTooLarge
 from cubeturan.patterns import Pattern, parse_pattern
-from cubeturan._kernels import _cycles_py
-from cubeturan.search import (
-    _branch_and_bound,
-    density,
-    exact_extremal,
-    pattern_copies,
-    search_instance,
-)
+from cubeturan._kernels import _cycles_py, bb_search_kernel
+from cubeturan.search import exact_extremal, pattern_copies, search_instance
 from cubeturan.verification import is_c2k_free, is_qk_free
 
 try:
@@ -140,7 +135,7 @@ def q4_restart_with_reversed_order(target, forbid):
     eidx = {edge_endpoints(e): i for i, e in enumerate(edges)}
     tmasks = [sum(1 << eidx[e] for e in c) for c in pattern_copies(4, target)]
     fmasks = [sum(1 << eidx[e] for e in c) for c in pattern_copies(4, forbid)]
-    value, _, _ = _branch_and_bound(len(edges), tmasks, fmasks, None, None)
+    value, _, _ = bb_search_kernel(len(edges), tmasks, fmasks, None, None)
     return value
 
 

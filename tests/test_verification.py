@@ -11,11 +11,15 @@ from cubeturan.constructions import (
     parity_q2_packing,
 )
 from cubeturan.core import StarVector, Subgraph, apply_automorphism, expand_edges, full_cube
-from cubeturan.counting import count_copies_qk, count_cycles
+from cubeturan.counting import count_copies_qk, count_cycles, count_in_subgraph
 from cubeturan.errors import BadRange
+from cubeturan.patterns import parse_pattern
+from cubeturan.search import exact_extremal
 from cubeturan.verification import (
+    FreenessVerdict,
     has_k_partite_representation,
     is_c2k_free,
+    is_pattern_free,
     is_qk_free,
 )
 
@@ -33,6 +37,15 @@ def test_qk_free_examples():
     assert is_qk_free(layer_complement(5, 2, 0), 2).free
     with pytest.raises(BadRange):
         is_qk_free(full_cube(3), 0)
+
+
+def test_a_subcube_larger_than_the_cube_is_absent():
+    # no Q_4 name exists in Q_3, so there is nothing to check; search and
+    # count take the same view of a forbidden Q_k with k > n
+    assert is_qk_free(full_cube(3), 4) == FreenessVerdict(True, None, 0)
+    assert is_pattern_free(full_cube(3), parse_pattern("q4")).free
+    assert count_in_subgraph(full_cube(3), parse_pattern("q4")) == 0
+    assert exact_extremal(3, parse_pattern("e"), parse_pattern("q4")).value == 12
 
 
 def test_c2k_free_examples():
@@ -54,7 +67,7 @@ def test_witnesses_reverify():
             assert all(g.has_edge(e) for e in expand_edges(vq.witness))
         vc = is_c2k_free(g, 3)
         if not vc.free:
-            assert all(g.has_edge(e) for e in vc.witness.edge_keys())
+            assert all(g.masks.get(u, 0) & (u ^ v) for u, v in vc.witness.edge_pairs())
 
 
 def test_verdicts_agree_with_counts_on_every_q3_subgraph():

@@ -85,23 +85,21 @@ def _cmd_zl(args):
 
 def _cmd_zwords(args):
     ell = args.l
+    words = None if args.count_only else iter_z_words(ell)  # refuses a long list before counting
     count = count_z_words(ell)
     payload = {"l": ell, "count": str(count)}
-    if not args.count_only:
-        payload["words"] = [list(w) for w in iter_z_words(ell)]
+    if words is not None:
+        payload["words"] = [list(w) for w in words]
     return EXIT_OK, payload, f"|Z({ell})| = {count}"
 
 
+#: every parameter some construction reads, in KINDS order, and whether it is a switch
+CONSTRUCT_PARAMS = {name: name in row.flags for row in KINDS.values() for name in row.params}
+
+
 def _cmd_construct(args):
-    params = {}
-    for name in ("n", "k", "l", "m", "i", "j"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    if args.with_cycles:
-        params["with_cycles"] = True
-    if args.complement:
-        params["complement"] = True
+    params = {name: getattr(args, name) for name in CONSTRUCT_PARAMS
+              if getattr(args, name) is not None}
     spec = ConstructionSpec(args.kind, params)
     g = spec.build()
     save_subgraph(g, args.out)
@@ -246,14 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="emit a known construction as a subgraph file")
     p.add_argument("kind", choices=KINDS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--with-cycles", action="store_true")
-    p.add_argument("--complement", action="store_true")
+    for name, switch in CONSTRUCT_PARAMS.items():
+        if switch:  # None when absent, so that only given parameters reach the spec
+            p.add_argument("--" + name.replace("_", "-"), action="store_true", default=None)
+        else:
+            p.add_argument("--" + name, type=int,
+                           required=all(name in row.needs for row in KINDS.values()))
     p.add_argument("--out", required=True, help="subgraph file to write")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .core import (
     StarVector,
@@ -30,14 +31,18 @@ from .zwords import min_star_count
 # ---------------------------------------------------------------------------
 # layer graphs
 
+def _check_residue(k: int, j: int) -> None:
+    if k < 1 or not 0 <= j < k:
+        raise BadRange(f"need k >= 1 and 0 <= j < k, got k={k}, j={j}")
+
+
 def layer_union_mod(n: int, k: int, j: int, complement: bool = False) -> Subgraph:
     """Union of the edge layers congruent to j mod k (or its complement in Q_n).
 
     The complement (all layers not congruent to j) is Q_k-free: a Q_k spans k
     consecutive edge layers, which hit every residue class mod k.
     """
-    if k < 1 or not 0 <= j < k:
-        raise BadRange(f"need k >= 1 and 0 <= j < k, got k={k}, j={j}")
+    _check_residue(k, j)
     name = f"layer-mod(n={n},k={k},j={j},complement={complement})"
     return subgraph_where(n, lambda v, p: (v.bit_count() % k == j) != complement, name)
 
@@ -46,8 +51,7 @@ def layer_complement(n: int, k: int, i: int) -> Subgraph:
     """All edge layers except those congruent to i mod k; Q_k-free."""
     if not 2 <= k <= n:
         raise BadRange(f"need 2 <= k <= n, got k={k}, n={n}")
-    if not 0 <= i < k:  # worded as layer_union_mod words it
-        raise BadRange(f"need k >= 1 and 0 <= j < k, got k={k}, j={i}")
+    _check_residue(k, i)
     return subgraph_where(n, lambda v, p: v.bit_count() % k != i,
                           f"layer-complement(n={n},k={k},i={i})")
 
@@ -146,18 +150,27 @@ def _mod3_hit(stars: int, base: int) -> bool:
     return True
 
 
-def _mod3_pairs(n: int, ell: int) -> list[tuple[int, int]]:
-    """(star mask, base) of every selected Q_l, in `iter_subcubes` order."""
+def _check_mod3(n: int, ell: int) -> None:
     if ell < 4 or n < ell:
         raise BadRange(f"need l >= 4 and n >= l, got l={ell}, n={n}")
+
+
+def _mod3_pairs(n: int, ell: int) -> list[tuple[int, int]]:
+    """(star mask, base) of every selected Q_l, in `iter_subcubes` order."""
+    _check_mod3(n, ell)
     return [pair for pair in iter_subcubes(full_cube(n), ell) if _mod3_hit(*pair)]
+
+
+def mod3_select(n: int, ell: int) -> Subgraph:
+    """The union of the mod-3 selected Q_l's."""
+    masks = edge_pair_masks(e for pair in _mod3_pairs(n, ell) for e in subcube_edges(*pair))
+    return Subgraph(n, name=f"mod3-select(n={n},l={ell})", masks=masks)
 
 
 def mod3_ql_selection_count(n: int, ell: int) -> int:
     """Exact selection cardinality via residue-class binomial sums; usable
     when full enumeration is too large."""
-    if ell < 4 or n < ell:
-        raise BadRange(f"need l >= 4 and n >= l, got l={ell}, n={n}")
+    _check_mod3(n, ell)
     targets = _mod3_targets(ell)
     total = 0
     for pos in itertools.combinations(range(n), ell):
@@ -257,84 +270,77 @@ def disjoint_qm_packing(n: int, m: int, with_cycles: bool = False,
 # ---------------------------------------------------------------------------
 # construction registry (the CLI dispatch surface)
 
-#: every kind and the parameters it reads; a spec holding any other is refused
+@dataclass(frozen=True)
+class Kind:
+    """One construction: its builder, the parameters it needs, those it may take
+    (integers, then switches) and the pattern it is claimed free of: None, text
+    formatted with the parameters, or a function of the builder's arguments.
+    Parameters carry their CLI names; the builders call `l` `ell`."""
+
+    build: Callable[..., Subgraph]
+    needs: tuple[str, ...]
+    takes: tuple[str, ...] = ()
+    flags: tuple[str, ...] = ()
+    claim: str | Callable[..., str | None] | None = None
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return self.needs + self.takes + self.flags
+
+
+#: every construction, in the order the CLI lists them
 KINDS = {
-    "layer-complement": ("n", "k", "i"),
-    "aks": ("n", "k", "i", "j"),
-    "aks-appendix": ("n", "k"),
-    "parity-q2": ("n",),
-    "conder": ("n",),
-    "mod3-select": ("n", "l"),
-    "conder-cycles": ("n", "l"),
-    "qm-packing": ("n", "m", "with_cycles", "l"),
-    "layer-mod": ("n", "k", "j", "complement"),
-    "even-odd": ("n", "j"),
+    "layer-complement": Kind(layer_complement, ("n", "k", "i"), claim="q{k}"),
+    "aks": Kind(aks_graph, ("n", "k", "i", "j"), claim="q{k}"),
+    "aks-appendix": Kind(aks_appendix_graph, ("n", "k"), claim="q{k}"),
+    "parity-q2": Kind(parity_q2_packing, ("n",), claim="c6"),
+    "conder": Kind(conder_graph, ("n",), claim="c6"),
+    "mod3-select": Kind(mod3_select, ("n", "l")),
+    "conder-cycles": Kind(lambda n, ell: conder_cycle_family(n, ell).union_graph, ("n", "l"),
+                          claim="c6"),
+    "qm-packing": Kind(
+        disjoint_qm_packing, ("n", "m"), takes=("l",), flags=("with_cycles",),
+        claim=lambda m, with_cycles=False, ell=None, **_: (
+            f"every even cycle except c{2 * ell}" if with_cycles
+            else f"every cycle longer than {1 << m}")),
+    "layer-mod": Kind(
+        layer_union_mod, ("n", "k", "j"), flags=("complement",),
+        claim=lambda k, complement=False, **_: (
+            f"q{k}" if complement else "c4" if k == 2 else None)),
+    "even-odd": Kind(even_odd_layers, ("n", "j"), claim="c4"),
 }
 
 
 @dataclass(frozen=True)
 class ConstructionSpec:
-    """A named construction plus its validated integer/flag parameters: those
-    its kind reads, in KINDS, and no other."""
+    """A named construction plus its integer/switch parameters: all that its
+    KINDS row needs, and no other than those it may take."""
 
     kind: str
     params: dict
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        row = KINDS.get(self.kind)
+        if row is None:
             raise BadRange(f"unknown construction {self.kind!r}")
-        unread = sorted(set(self.params) - set(KINDS[self.kind]))
+        unread = sorted(set(self.params) - set(row.params))
         if unread:
             raise BadRange(f"construction {self.kind!r} does not read {', '.join(unread)}")
+        for name in row.needs:
+            if name not in self.params:
+                raise BadRange(f"construction {self.kind!r} needs parameter {name!r}")
 
-    def _p(self, name: str) -> int:
-        if name not in self.params:
-            raise BadRange(f"construction {self.kind!r} needs parameter {name!r}")
-        return self.params[name]
+    def _args(self) -> dict:
+        """The parameters as the builder takes them: `l` as `ell`, switches as bools."""
+        flags = KINDS[self.kind].flags
+        return {"ell" if name == "l" else name: bool(value) if name in flags else value
+                for name, value in self.params.items()}
 
     def build(self) -> Subgraph:
-        kind = self.kind
-        if kind == "layer-complement":
-            return layer_complement(self._p("n"), self._p("k"), self._p("i"))
-        if kind == "aks":
-            return aks_graph(self._p("n"), self._p("k"), self._p("i"), self._p("j"))
-        if kind == "aks-appendix":
-            return aks_appendix_graph(self._p("n"), self._p("k"))
-        if kind == "parity-q2":
-            return parity_q2_packing(self._p("n"))
-        if kind == "conder":
-            return conder_graph(self._p("n"))
-        if kind == "mod3-select":
-            n, ell = self._p("n"), self._p("l")
-            masks = edge_pair_masks(e for pair in _mod3_pairs(n, ell) for e in subcube_edges(*pair))
-            return Subgraph(n, name=f"mod3-select(n={n},l={ell})", masks=masks)
-        if kind == "conder-cycles":
-            return conder_cycle_family(self._p("n"), self._p("l")).union_graph
-        if kind == "qm-packing":
-            return disjoint_qm_packing(
-                self._p("n"), self._p("m"),
-                with_cycles=bool(self.params.get("with_cycles")),
-                ell=self.params.get("l"),
-            )
-        if kind == "layer-mod":
-            return layer_union_mod(self._p("n"), self._p("k"), self._p("j"),
-                                   complement=bool(self.params.get("complement")))
-        return even_odd_layers(self._p("n"), self._p("j"))
+        return KINDS[self.kind].build(**self._args())
 
     def claimed_free_of(self) -> str | None:
-        kind = self.kind
-        if kind in ("layer-complement", "aks", "aks-appendix"):
-            return f"q{self._p('k')}"
-        if kind in ("parity-q2", "conder", "conder-cycles"):
-            return "c6"
-        if kind == "even-odd":
-            return "c4"
-        if kind == "layer-mod":
-            if self.params.get("complement"):
-                return f"q{self._p('k')}"
-            return "c4" if self._p("k") == 2 else None
-        if kind == "qm-packing":
-            if self.params.get("with_cycles"):
-                return f"every even cycle except c{2 * self._p('l')}"
-            return f"every cycle longer than {1 << self._p('m')}"
-        return None
+        claim = KINDS[self.kind].claim
+        if callable(claim):
+            return claim(**self._args())
+        return claim and claim.format(**self.params)

@@ -12,9 +12,10 @@ Conventions (used everywhere in the package):
   ``masks[b | s] & S == S`` for every s within S, and an edge is the pair of
   its endpoints;
 * star strings such as ``01*10`` (the edge joining 01010 and 01110) appear
-  only at the boundary: files, ``Subgraph(n, edges)``, ``Subgraph.edges``
-  and witnesses. ``parse_cells`` is their one reader and ``format_cells``
-  their one writer, and ``edge_pair`` holds the one-star rule of an edge.
+  only at the boundary: files, ``Subgraph(n, edges)``,
+  ``Subgraph.sorted_edges()`` and witnesses. ``parse_cells`` is their one
+  reader and ``format_cells`` their one writer, and ``edge_pair`` holds the
+  one-star rule of an edge.
 """
 
 from __future__ import annotations
@@ -114,10 +115,6 @@ class StarVector:
     def k(self) -> int:
         return self.pair[0].bit_count()
 
-    @property
-    def star_positions(self) -> tuple[int, ...]:
-        return tuple(p for p in range(self.n) if self.pair[0] >> p & 1)
-
     def __str__(self) -> str:
         return self.cells
 
@@ -202,7 +199,7 @@ class Subgraph:
             masks = edge_pair_masks((u, u | bit) for bit, u in pairs)
         items = masks.items() if isinstance(masks, dict) else enumerate(masks)
         masks = {v: m for v, m in items if m}
-        for attr, value in (("n", n), ("masks", masks), ("name", name), ("_edges", None),
+        for attr, value in (("n", n), ("masks", masks), ("name", name),
                             ("edge_count", sum(m.bit_count() for m in masks.values()) // 2)):
             object.__setattr__(self, attr, value)
 
@@ -218,32 +215,18 @@ class Subgraph:
     def __repr__(self):
         return f"Subgraph(n={self.n}, edge_count={self.edge_count}, name={self.name!r})"
 
-    @property
-    def edges(self) -> frozenset[str]:
-        """The edges as star strings, built on first use."""
-        if self._edges is None:
-            object.__setattr__(self, "_edges", frozenset(self._edge_keys()))
-        return self._edges
-
-    def _edge_keys(self) -> Iterator[str]:
+    def sorted_edges(self) -> list[str]:
+        """The edges as star strings, in lexicographic order."""
+        keys = []
         for v, m in self.masks.items():
             up = m & ~v
             if up:
                 bits = vertex_to_bits(v, self.n)
                 while up:
                     p = (up & -up).bit_length() - 1
-                    yield bits[:p] + STAR + bits[p + 1:]
+                    keys.append(bits[:p] + STAR + bits[p + 1:])
                     up &= up - 1
-
-    def has_edge(self, edge: StarVector | str) -> bool:
-        try:
-            bit, u = edge_pair(edge.cells if isinstance(edge, StarVector) else edge, self.n)
-        except (BadChar, BadLength, BadRange):
-            return False
-        return bool(self.masks.get(u, 0) & bit)
-
-    def sorted_edges(self) -> list[str]:
-        return sorted(self._edge_keys() if self._edges is None else self._edges)
+        return sorted(keys)
 
 
 def full_cube(n: int) -> Subgraph:

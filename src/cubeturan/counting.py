@@ -158,10 +158,6 @@ class CycleWitness:
     def length(self) -> int:
         return len(self.vertices)
 
-    @property
-    def star_list(self) -> tuple[int, ...]:
-        return tuple((u ^ v).bit_length() - 1 for u, v in self.edge_pairs())
-
     def edge_pairs(self) -> list[tuple[int, int]]:
         """The edges as endpoint pairs, smaller first, in cycle order."""
         vs = self.vertices

@@ -44,7 +44,11 @@ def parse_pattern(text: str) -> Pattern:
     t = text.strip().lower()
     if t == "e":
         return Pattern(EDGE)
-    if len(t) >= 2 and t[0] in "qc" and t[1:].isdigit():
-        order = int(t[1:])
+    digits = t[1:]
+    if t[:1] in ("q", "c") and digits.isascii() and digits.isdigit():
+        try:
+            order = int(digits)
+        except ValueError:  # past int()'s 4300-digit limit
+            raise BadRange(f"pattern order of {len(digits)} digits is too long") from None
         return Pattern(SUBCUBE if t[0] == "q" else CYCLE, order)
     raise BadRange(f"cannot parse pattern {text!r} (expected e, q<k> or c<m>)")

@@ -27,6 +27,10 @@ from .errors import BadRange, EnumerationTooLarge, NonIntegralResult
 MAX_WORD_K = 12
 MAX_WORD_L = 256
 
+#: Z(l) is listed in full only up to here: `zwords --l 6` holds all 2,037,600
+#: words at once (about 2.4 GB, and 244 MB of JSON), and |Z(7)| is 95 times more
+MAX_LISTED_L = 6
+
 
 def _check_z_args(k: int, ell: int) -> None:
     if k < 1 or ell < 2:
@@ -88,8 +92,10 @@ def count_canonical_words(k: int, ell: int) -> int:
 
 
 def iter_z_words(ell: int) -> Iterator[tuple[int, ...]]:
-    """All of Z(l), lexicographically. Beware: |Z(l)| grows factorially."""
+    """All of Z(l), lexicographically. |Z(l)| grows factorially, so l > 6 is refused."""
     _check_z_args(ell, ell)
+    if ell > MAX_LISTED_L:
+        raise EnumerationTooLarge(f"listing Z({ell}) refused: needs l <= {MAX_LISTED_L}")
     L = 2 * ell
     word = [0] * L
     counts = [0] * (ell + 1)

@@ -17,7 +17,7 @@ import random
 def oracle_adjacency(g) -> dict[int, set[int]]:
     """Adjacency sets parsed straight out of the edge strings."""
     adj: dict[int, set[int]] = {}
-    for key in g.edges:
+    for key in g.sorted_edges():
         star = key.index("*")
         u = 0
         for i, c in enumerate(key):
@@ -196,7 +196,7 @@ def random_subgraph(n: int, keep_probability: float, rng: random.Random):
     from cubeturan.core import Subgraph, full_cube
 
     cube = full_cube(n)
-    kept = frozenset(e for e in sorted(cube.edges) if rng.random() < keep_probability)
+    kept = frozenset(e for e in cube.sorted_edges() if rng.random() < keep_probability)
     return Subgraph(n, kept)
 
 

@@ -239,6 +239,30 @@ def test_word_count_refuses_huge_l_with_exit_4(argv):
     assert json.loads(proc.stderr)["error"] == "EnumerationTooLarge"
 
 
+def test_zwords_refuses_to_list_beyond_l6_before_counting(monkeypatch, capsys):
+    from cubeturan import cli
+
+    monkeypatch.setattr(cli, "count_z_words", lambda ell: pytest.fail("counted before refusing"))
+    assert cli.main(["zwords", "--l", "7"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "EnumerationTooLarge"
+
+
+def test_zwords_counts_l7_without_listing():
+    proc = run_cli("zwords", "--l", "7", "--count-only")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"count": "192689280", "l": 7}
+
+
+@pytest.mark.parametrize("pattern", ["q\u00b2", "c" + "5" * 5000],
+                         ids=["superscript-digit", "past-the-int-digit-limit"])
+def test_pattern_orders_that_are_not_ascii_digits_exit_2(pattern):
+    proc = run_cli("count", "--n", "3", "--pattern", pattern)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "BadRange"
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--theorem", "t4", "--l", "-1", "--k", "4"),
     ("bounds", "--theorem", "t4", "--l", "0", "--k", "0", "--n", "9"),  # there is no C_0

@@ -1,5 +1,8 @@
+import ast
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -39,12 +42,14 @@ from cubeturan.core import (
 )
 from cubeturan.counting import count_copies_qk, count_cycles
 from cubeturan.errors import BadRange, CycleDoesNotFit
+from cubeturan.patterns import parse_pattern
+from cubeturan.verification import is_pattern_free
 
 
 def test_layer_complement_small():
     g = layer_complement(3, 2, 1)
     assert g.edge_count == 6
-    assert {edge_layer(e) for e in g.edges} == {0, 2}
+    assert {edge_layer(e) for e in g.sorted_edges()} == {0, 2}
     with pytest.raises(BadRange):
         layer_complement(3, 4, 0)
     with pytest.raises(BadRange):
@@ -54,7 +59,7 @@ def test_layer_complement_small():
 def test_layer_union_mod_small():
     g = layer_union_mod(3, 2, 0)
     assert g.edge_count == 6
-    assert layer_union_mod(3, 2, 1, complement=True).edges == layer_complement(3, 2, 1).edges
+    assert layer_union_mod(3, 2, 1, complement=True) == layer_complement(3, 2, 1)
     # edge layer i of Q_n has n*C(n-1, i) edges
     for n in (3, 4, 5):
         for i in range(n):
@@ -67,14 +72,15 @@ def test_layer_union_mod_small():
 def test_even_odd_layer_graphs_partition_the_cube():
     for n in (3, 4, 5):
         g0, g1 = even_odd_layers(n, 0), even_odd_layers(n, 1)
-        assert g0.edges | g1.edges == full_cube(n).edges
-        assert not g0.edges & g1.edges
+        keys0, keys1 = set(g0.sorted_edges()), set(g1.sorted_edges())
+        assert keys0 | keys1 == set(full_cube(n).sorted_edges())
+        assert not keys0 & keys1
     with pytest.raises(BadRange):
         even_odd_layers(4, 2)
 
 
 def test_aks_graph_q2_example():
-    assert sorted(aks_graph(2, 2, 0, 0).edges) == ["*1"]
+    assert aks_graph(2, 2, 0, 0).sorted_edges() == ["*1"]
     with pytest.raises(BadRange):
         aks_graph(4, 2, 1, 0)  # i must be below floor((k+1)/2) = 1
 
@@ -111,7 +117,7 @@ def test_residue_deletion_worked_edges():
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_residue_deletion_graphs_match_the_cell_text_oracle(n):
-    edges = sorted(full_cube(n).edges)
+    edges = full_cube(n).sorted_edges()
     for k in range(2, n + 1):
         lo, hi = (k + 1) // 2, (k + 2) // 2
         for i in range(lo):
@@ -130,17 +136,19 @@ def test_aks_appendix_validation_and_degenerate_k3():
     assert aks_appendix_graph(4, 3).edge_count == 0
     # k=4 keeps exactly the edges with an odd number of ones right of the star
     g = aks_appendix_graph(4, 4)
-    for e in full_cube(4).edges:
+    kept = set(g.sorted_edges())
+    for e in full_cube(4).sorted_edges():
         right = e.split("*")[1]
-        assert g.has_edge(e) == (right.count("1") % 2 == 1)
+        assert (e in kept) == (right.count("1") % 2 == 1)
 
 
 def test_parity_selection_small():
     sel = parity_q2_selection(5)
     assert len(sel) == 6
     for cells in sel:
-        a, b = StarVector(5, cells).star_positions
-        assert b == a + 1 and a % 2 == 0
+        stars = StarVector(5, cells).pair[0]
+        a = stars.bit_length() - 2
+        assert stars == 3 << a and a % 2 == 0
     # the packing's Q_2's are exactly the selected names
     packed = [format_cells(5, *pair) for pair in iter_subcubes(parity_q2_packing(5), 2)]
     assert sorted(packed) == sorted(sel)
@@ -175,7 +183,7 @@ def test_parity_selection_count_lower_bound(n):
 
 def test_conder_graph_small():
     g = conder_graph(3)
-    assert sorted(g.edges) == ["*00", "0*0", "00*", "1*1"]
+    assert g.sorted_edges() == ["*00", "0*0", "00*", "1*1"]
     assert Fraction(g.edge_count, 12) == Fraction(1, 3)
 
 
@@ -228,12 +236,12 @@ def test_cycle_family_lies_in_conder_graph(n, ell):
     seen = set()
     for sv, witness in fam.members:
         assert witness.length == 2 * ell
-        assert set(witness.star_list) == set(sv.star_positions)
+        assert sum({u ^ v for u, v in witness.edge_pairs()}) == sv.pair[0]  # every star, no other
         for u, v in witness.edge_pairs():
             assert cg.masks.get(u, 0) & (u ^ v)
         seen.add(witness.vertices)
     assert len(seen) == len(fam.members)
-    assert fam.union_graph.edges <= cg.edges
+    assert set(fam.union_graph.sorted_edges()) <= set(cg.sorted_edges())
 
 
 def test_qm_packing_plain():
@@ -249,7 +257,7 @@ def test_qm_packing_copies_are_vertex_disjoint():
 
     g = disjoint_qm_packing(5, 2)
     # components are indexed by the bits above position m: no edge crosses
-    for e in g.edges:
+    for e in g.sorted_edges():
         u, v = edge_endpoints(e)
         assert u >> 2 == v >> 2
     assert count_copies_qk(g, 2) == 2 ** 3
@@ -308,10 +316,72 @@ def test_construction_spec_refuses_parameters_its_kind_does_not_read():
                          ("conder", {"n": 4, "k": 3, "m": 9}),
                          ("parity-q2", {"n": 4, "with_cycles": True}),
                          ("aks-appendix", {"n": 5, "k": 3, "i": 0})):
-        assert set(params) - set(KINDS[kind])
+        assert set(params) - set(KINDS[kind].params)
         with pytest.raises(BadRange, match="does not read"):
             ConstructionSpec(kind, params)
     # qm-packing reads l only for the cycle it puts in each copy
     with pytest.raises(BadRange):
         ConstructionSpec("qm-packing", {"n": 4, "m": 2, "l": 2}).build()
     assert ConstructionSpec("qm-packing", {"n": 4, "m": 2}).build().edge_count == 16
+
+
+#: small instances (n <= 6) of every kind, covering each branch of its claim
+CLAIM_CASES = {
+    "layer-complement": [{"n": 5, "k": k, "i": i} for k in (2, 3, 4) for i in range(k)],
+    "aks": [{"n": 5, "k": k, "i": i, "j": j} for k in (2, 3, 4)
+            for i in range((k + 1) // 2) for j in range((k + 2) // 2)],
+    "aks-appendix": [{"n": 6, "k": k} for k in (3, 4, 5)],
+    "parity-q2": [{"n": n} for n in (3, 4, 5, 6)],
+    "conder": [{"n": n} for n in (3, 4, 5, 6)],
+    "mod3-select": [{"n": 6, "l": 4}],
+    "conder-cycles": [{"n": 6, "l": ell} for ell in (4, 5, 6)],
+    "qm-packing": [{"n": 5, "m": 2}, {"n": 5, "m": 3},
+                   {"n": 5, "m": 3, "with_cycles": True, "l": 3},
+                   {"n": 6, "m": 3, "with_cycles": True, "l": 4},
+                   {"n": 6, "m": 4, "with_cycles": True, "l": 5}],
+    "layer-mod": [{"n": 5, "k": 3, "j": 1, "complement": True}, {"n": 5, "k": 2, "j": 0},
+                  {"n": 5, "k": 2, "j": 1}, {"n": 5, "k": 3, "j": 0}],
+    "even-odd": [{"n": 6, "j": 0}, {"n": 6, "j": 1}],
+}
+
+
+def _cycle_free(g, length):
+    return is_pattern_free(g, parse_pattern(f"c{length}")).free
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_claim_in_the_kinds_table_holds_on_small_instances(kind):
+    """What a sidecar prints as `claimed_free_of` is true of the graph it describes."""
+    for params in CLAIM_CASES[kind]:
+        spec = ConstructionSpec(kind, params)
+        claim, g = spec.claimed_free_of(), spec.build()
+        if claim is None:
+            continue
+        if claim.startswith("every even cycle except c"):  # one 2l-cycle per Q_m copy
+            kept, top = int(claim.rsplit("c", 1)[1]), 1 << params["m"]
+            assert not _cycle_free(g, kept), (params, claim)
+            assert all(_cycle_free(g, length) for length in range(4, top + 1, 2)
+                       if length != kept), (params, claim)
+        elif claim.startswith("every cycle longer than "):  # components are Q_m's
+            longest = int(claim.rsplit(" ", 1)[1])
+            assert longest == 1 << params["m"]
+            assert all(_cycle_free(g, length)
+                       for length in range(longest + 2, (1 << params["n"]) + 1, 2)), params
+        else:
+            assert is_pattern_free(g, parse_pattern(claim)).free, (params, claim)
+
+
+def test_claim_cases_cover_every_kind_and_claim():
+    assert CLAIM_CASES.keys() == KINDS.keys()
+    claims = {ConstructionSpec(kind, params).claimed_free_of()
+              for kind, cases in CLAIM_CASES.items() for params in cases}
+    assert {"q2", "q3", "q4", "q5", "c4", "c6", None} <= claims
+
+
+def test_each_kind_is_named_once_in_the_package():
+    """The KINDS row is the one place a construction's name is written."""
+    package = Path(__file__).resolve().parents[1] / "src" / "cubeturan"
+    literals = Counter(node.value for path in package.rglob("*.py")
+                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    assert {kind: literals[kind] for kind in KINDS} == dict.fromkeys(KINDS, 1)

@@ -27,14 +27,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import check_closed_form_dimension
-from .errors import BadRange, BadTheoremId, MissingParam
+from .core import MAX_CLOSED_FORM_N
+from .errors import BadRange, BadTheoremId, DimensionTooLarge, MissingParam
 from .zwords import min_star_count, z_kl
 
 LOWER = "lower"
 UPPER = "upper"
 
 THEOREM_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "A6", "A7")
+
+#: the theorems that define a lower side only
+LOWER_ONLY = ("A6", "A7")
 
 
 @dataclass(frozen=True)
@@ -87,15 +90,20 @@ def t1_lower_branches(ell: int, k: int) -> tuple[Fraction, Fraction]:
 def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> BoundValue:
     """Evaluate one side of a catalog bound at concrete parameters.
 
-    An n above core.MAX_CLOSED_FORM_N is refused, whether or not the bound reads it."""
+    An n or k above core.MAX_CLOSED_FORM_N is refused, whether or not the bound
+    reads it; every bound that computes with l bounds it by k, z or log2(2k)."""
     tid = theorem.upper()
     if tid not in THEOREM_IDS:
         raise BadTheoremId(f"unknown bound identifier {theorem!r}")
     if side not in (LOWER, UPPER):
         raise BadRange(f"side must be lower or upper, got {side!r}")
+    if side == UPPER and tid in LOWER_ONLY:
+        raise BadTheoremId(f"{tid} defines a lower bound only")
     params = dict(params or {})
-    if params.get("n") is not None:
-        check_closed_form_dimension(params["n"])
+    for name in ("n", "k"):
+        if params.get(name) is not None and params[name] > MAX_CLOSED_FORM_N:
+            raise DimensionTooLarge(
+                f"{name}={params[name]} exceeds the closed-form cap {MAX_CLOSED_FORM_N}")
 
     if tid == "T1":
         ell, k = _need(params, "l", "k")
@@ -194,8 +202,6 @@ def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> B
                           None, asymptotic=False, unresolved=("c_k",))
 
     if tid == "A6":
-        if side == UPPER:
-            raise BadTheoremId("A6 defines a lower bound only")
         ell, k = _need(params, "l", "k")
         if not 2 <= ell < k or k * k - 2 * k <= 0:
             raise BadRange(f"A6 needs 2 <= l < k and k >= 3, got l={ell}, k={k}")
@@ -204,8 +210,6 @@ def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> B
                           asymptotic=True)
 
     # A7: the T3 lower bound improved by (4/3)^(l+1)
-    if side == UPPER:
-        raise BadTheoremId("A7 defines a lower bound only")
     (ell,) = _need(params, "l")
     if ell < 4:
         raise BadRange(f"A7 needs l >= 4, got {ell}")
@@ -224,12 +228,11 @@ def bound_sandwich_report(theorem: str, params: dict | None = None, z=None,
     report: dict = {"theorem": theorem.upper(), "params": dict(params or {}),
                     "comparisons": [], "notes": []}
     for side in (LOWER, UPPER):
-        try:
-            bv = eval_bound(theorem, side, params, z=z)
-        except BadTheoremId:
+        if side == UPPER and theorem.upper() in LOWER_ONLY:
             report[side] = None
             report["notes"].append(f"no {side} bound defined")
             continue
+        bv = eval_bound(theorem, side, params, z=z)
         report[side] = bv.to_json_dict()
         if bv.value is None:
             report["notes"].append(f"{side} bound symbolic ({', '.join(bv.unresolved)})")

@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
 from ._kernels import backend_name
 from ._version import __version__
-from .bounds import bound_sandwich_report, eval_bound
+from .bounds import LOWER, LOWER_ONLY, UPPER, bound_sandwich_report, eval_bound
 from .constructions import KINDS, ConstructionSpec
 from .core import StarVector, load_subgraph, save_subgraph
 from .counting import ZTable, count_report
@@ -30,7 +31,7 @@ from .errors import (
 from .patterns import parse_pattern
 from .search import exact_extremal
 from .verification import has_k_partite_representation, is_pattern_free
-from .zwords import count_z_words, iter_z_words, z_ll_via_words
+from .zwords import count_z_words, iter_z_words
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -73,12 +74,7 @@ def _cmd_count(args):
 def _cmd_zl(args):
     ell = args.l
     k = args.k if args.k is not None else ell
-    if args.method == "words":
-        if k != ell:
-            raise CubeError("--method words applies to the diagonal k = l only")
-        value = z_ll_via_words(ell, allow_small=args.allow_small)
-    else:
-        value = _ztable(args).get(k, ell)
+    value = _ztable(args).get(k, ell)
     payload = {"k": k, "l": ell, "value": str(value), "method": "words"}
     return EXIT_OK, payload, f"z({k},{ell}) = {value} [words]"
 
@@ -154,12 +150,19 @@ def _cmd_density(args):
         f"d(Q_{args.n}, {report['target']}, {report['forbid']}) = {result.density}")
 
 
+#: NUM/DEN or [-]D[.D] in ASCII digits, which Fraction() takes as it is; alone it
+#: would also take exponents (1e99999999999 never finishes), `1_000` and other digits
+EXACT_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+|(\.[0-9]+)?)")
+
+
 def _parse_exact(text: str) -> Fraction:
-    try:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise BadRange(f"--exact needs NUM/DEN or a decimal, got {text!r}") from None
+    # 4300 characters keep the report's num and den within str()'s 4300 digits
+    if len(text) <= 4300 and EXACT_GRAMMAR.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    raise BadRange(f"--exact needs NUM/DEN or a decimal, got {text!r}")
 
 
 def _cmd_bounds(args):
@@ -170,13 +173,12 @@ def _cmd_bounds(args):
         payload = bound_sandwich_report(args.theorem, params, z=z,
                                         exact=_parse_exact(args.exact))
         return EXIT_OK, payload, f"{args.theorem.upper()} sandwich report"
-    sides = ("lower", "upper") if args.side == "both" else (args.side,)
-    values = [eval_bound(args.theorem, side, params, z=z) for side in sides]
-    payload = values[0].to_json_dict() if len(values) == 1 else {
-        "theorem": args.theorem.upper(),
-        "bounds": [v.to_json_dict() for v in values],
-    }
-    return EXIT_OK, payload, f"{args.theorem.upper()} evaluated"
+    summary = f"{args.theorem.upper()} evaluated"
+    if args.side != "both":
+        return EXIT_OK, eval_bound(args.theorem, args.side, params, z=z).to_json_dict(), summary
+    sides = (LOWER,) if args.theorem.upper() in LOWER_ONLY else (LOWER, UPPER)
+    bounds = [eval_bound(args.theorem, side, params, z=z).to_json_dict() for side in sides]
+    return EXIT_OK, {"theorem": args.theorem.upper(), "bounds": bounds}, summary
 
 
 def _cmd_kpartite(args):
@@ -228,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--method", choices=("enum", "words"), default="enum",
-                   help="both count words; enum: any k, via the z-table and --z-cache; "
-                        "words: |Z(l)| 2^l / 4l, k = l only, uncached")
-    p.add_argument("--allow-small", action="store_true",
-                   help="evaluate the word formula below l=4")
+                   help="both name the one route: count words through the z-table "
+                        "and --z-cache; kept so that existing invocations work")
     common(p)
     z_cache(p)
     p.set_defaults(handler=_cmd_zl)

@@ -180,13 +180,6 @@ def edge_endpoints(edge: StarVector | str) -> tuple[int, int]:
     return u, u | bit
 
 
-def edge_key_from_endpoints(u: int, v: int, n: int) -> str:
-    d = u ^ v
-    if d == 0 or d & (d - 1):
-        raise BadRange(f"vertices {u} and {v} are not adjacent in Q_{n}")
-    return format_cells(n, d, u & ~d)
-
-
 class Subgraph:
     """An immutable edge set on Q_n's full vertex set. `edges` (star strings) are
     validated; `masks` (a dict by vertex or a list indexed by vertex, symmetric

@@ -37,13 +37,12 @@ def closed_count_qk(n: int, k: int) -> int:
 def closed_count_c2l(n: int, ell: int, z=None) -> int:
     """N(Q_n, C_2l) = sum over k of C(n,k) * 2^(n-k) * z_{k,l}.
 
-    k runs from ceil(log2(2l)) to min(l, n). z[k, l] is read from `z`, a ZTable
-    (a fresh one by default) or any mapping holding those keys.
+    k runs from ceil(log2(2l)) to min(l, n). z[k, l] is read from `z` (a ZTable
+    or any mapping holding those keys), else counted.
     """
     if n < 1 or ell < 2 or min_star_count(ell) > n:
         raise BadRange(f"need 2 <= l <= 2^(n-1), got n={n}, l={ell}")
-    z = ZTable() if z is None else z
-    return sum(closed_count_qk(n, k) * z[k, ell]
+    return sum(closed_count_qk(n, k) * (z_kl(k, ell) if z is None else z[k, ell])
                for k in range(min_star_count(ell), min(ell, n) + 1))
 
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import bb_search_kernel
-from .core import (Subgraph, edge_key_from_endpoints, edge_pair_masks, full_cube,
-                   iter_subcubes, subcube_edges)
+from .core import Subgraph, edge_pair_masks, full_cube, iter_subcubes, subcube_edges
 from .counting import count_in_subgraph, enumerate_cycle_witnesses
 from .errors import BadRange, CubeError, DimensionTooLarge
 from .patterns import CYCLE, Pattern
@@ -59,10 +58,12 @@ def pattern_copies(n: int, pattern: Pattern) -> list[frozenset[tuple[int, int]]]
 def search_instance(n: int, target: Pattern, forbid: Pattern):
     """(edges of Q_n in the search's fixed order, target copies, forbidden copies),
     each copy an edge mask over that order, the masks sorted."""
-    # fixed edge order: by star string. Q_n is edge-transitive, so no edge lies
-    # in more target copies.
+    # fixed edge order: by star string, position 0 first, read as digits with
+    # * < 0 < 1 as in ASCII. Q_n is edge-transitive, so no edge lies in more
+    # target copies.
     edges = sorted(((b, b | s) for s, b in iter_subcubes(full_cube(n), 1)),
-                   key=lambda e: edge_key_from_endpoints(*e, n))
+                   key=lambda e: [0 if (e[0] ^ e[1]) >> p & 1 else 1 + (e[0] >> p & 1)
+                                  for p in range(n)])
     eidx = {e: i for i, e in enumerate(edges)}
     tmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, target))
     fmasks = sorted(sum(1 << eidx[e] for e in c) for c in pattern_copies(n, forbid))

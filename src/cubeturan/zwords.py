@@ -13,6 +13,9 @@ index-parity class, except for the full word (mask 0 at both ends).
 Off the diagonal, a closed walk in Q_k with star word w is a 2l-cycle using
 all k positions iff w uses all k symbols, m_0..m_{2l-1} are pairwise distinct
 and m_{2l} = 0; a cycle is 4l such walks, so z_{k,l} = #words * 2^k / 4l.
+
+Every z value is z_kl's scaled count_canonical_words; z_ll_via_words is its
+diagonal. The listing iter_z_words is a separate DFS, an oracle for |Z(l)|.
 """
 
 from __future__ import annotations
@@ -131,12 +134,11 @@ def count_z_words(ell: int) -> int:
     l! times count_canonical_words(l, l).
     """
     _check_z_args(ell, ell)
-    return math.factorial(ell) * count_canonical_words(ell, ell)
+    return count_canonical_words(ell, ell) * math.factorial(ell)  # refuses before l! is built
 
 
-def _z_from_word_count(count: int, ell: int, k: int | None = None) -> int:
-    """Exactly count * 2^k / 4l for `count` words of 2l-cycles in Q_k (k = l by default)."""
-    k = ell if k is None else k
+def _z_from_word_count(count: int, ell: int, k: int) -> int:
+    """Exactly count * 2^k / 4l for `count` words of 2l-cycles in Q_k."""
     num = count << k
     if num % (4 * ell):
         raise NonIntegralResult(
@@ -154,16 +156,11 @@ def z_kl(k: int, ell: int) -> int:
     _check_z_args(k, ell)
     if not z_positive(k, ell):
         return 0
-    return _z_from_word_count(math.factorial(k) * count_canonical_words(k, ell), ell, k)
+    # the count first: it refuses k > 12 before k! is built, which overflows at
+    # k = 2^63 and runs unbounded long before that
+    return _z_from_word_count(count_canonical_words(k, ell) * math.factorial(k), ell, k)
 
 
-def z_ll_via_words(ell: int, allow_small: bool = False) -> int:
-    """z_{l,l} computed as |Z(l)| * 2^l / 4l.
-
-    The identity is asserted for l >= 4; pass allow_small=True to evaluate the
-    same expression at l in {2, 3} (it happens to agree with direct cycle
-    enumeration there too, but treat that as an observation, not a contract).
-    """
-    if ell < 4 and not (allow_small and ell >= 2):
-        raise BadRange(f"word-count formula is asserted for l >= 4 only, got l={ell}")
-    return _z_from_word_count(count_z_words(ell), ell)
+def z_ll_via_words(ell: int) -> int:
+    """z_{l,l} = |Z(l)| * 2^l / 4l: the diagonal of z_kl, whose word count there is |Z(l)|."""
+    return z_kl(ell, ell)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    brute_z_kl,
     closed_walk_count,
     density,
     parity_q2_selection,
@@ -48,7 +49,7 @@ from cubeturan.verification import (
     is_c2k_free,
     is_qk_free,
 )
-from cubeturan.zwords import z_ll_via_words
+from cubeturan.zwords import enumerate_z_words, z_ll_via_words
 
 
 @contextmanager
@@ -83,10 +84,14 @@ def test_criterion_2_paper_constants():
 
 def test_criterion_3_word_machinery():
     with criterion(3, "word-count formula for z_ll"):
-        assert z_ll_via_words(4) == z_kl(4, 4)
-        assert z_ll_via_words(5) == z_kl(5, 5)
+        # |Z(l)| by the listing DFS and z_{l,l} by cycle enumeration: neither
+        # counts canonical words, as z_ll_via_words does
+        for ell in range(2, 6):
+            zll = z_ll_via_words(ell)
+            assert zll == brute_z_kl(ell, ell)
+            assert zll * 4 * ell == len(enumerate_z_words(ell)) << ell
         for ell in range(2, 7):
-            assert z_ll_via_words(ell, allow_small=True) <= math.factorial(2 * ell) // (4 * ell)
+            assert z_ll_via_words(ell) <= math.factorial(2 * ell) // (4 * ell)
 
 
 def test_criterion_4_exact_extremal_values():

@@ -10,8 +10,9 @@ from cubeturan.bounds import (
     t1_lower_branches,
 )
 from cubeturan.constructions import parity_q2_packing
+from cubeturan.core import MAX_CLOSED_FORM_N
 from cubeturan.counting import ZTable, closed_count_qk, count_copies_qk
-from cubeturan.errors import BadRange, BadTheoremId, MissingParam
+from cubeturan.errors import BadRange, BadTheoremId, DimensionTooLarge, MissingParam
 
 
 def test_t1_lower_examples():
@@ -127,6 +128,20 @@ def test_unknown_ids():
         eval_bound("T9", "lower", {})
     with pytest.raises(BadRange):
         eval_bound("T1", "sideways", {"l": 2, "k": 4})
+
+
+def test_k_past_the_closed_form_cap_is_refused_by_every_theorem():
+    # k*(k+2) past str()'s 4300 digits would otherwise break the report
+    k = MAX_CLOSED_FORM_N + 1
+    for tid, params in (("T1", {"l": 2}), ("T4", {"l": 3}), ("T6", {}), ("A6", {"l": 2})):
+        with pytest.raises(DimensionTooLarge, match=f"k={k}"):
+            eval_bound(tid, "lower", {**params, "k": k})
+    assert eval_bound("T1", "lower", {"l": 2, "k": MAX_CLOSED_FORM_N}).value is not None
+
+
+def test_sandwich_report_refuses_an_unknown_theorem():
+    with pytest.raises(BadTheoremId):
+        bound_sandwich_report("T9", exact=Fraction(1, 2))
 
 
 def test_sandwich_report_t6_at_n3():

@@ -117,9 +117,10 @@ def test_bounds_verbs():
     assert {b["side"] for b in blob["bounds"]} == {"lower", "upper"}
     proc = run_cli("bounds", "--theorem", "t1", "--side", "lower", "--l", "2", "--k", "10")
     assert json.loads(proc.stdout)["value"] == {"num": "13", "den": "15"}
-    proc = run_cli("bounds", "--theorem", "t6", "--exact", "3/16")
-    blob = json.loads(proc.stdout)
-    assert blob["exact"] == {"num": "3", "den": "16"}
+    for exact, num, den in (("3/16", "3", "16"), ("-1/2", "-1", "2"), ("0.25", "1", "4"),
+                            ("7", "7", "1"), ("0." + "0" * 4297 + "1", "1", "1" + "0" * 4298)):
+        proc = run_cli("bounds", "--theorem", "t6", "--exact=" + exact)
+        assert json.loads(proc.stdout)["exact"] == {"num": num, "den": den}
     for argv in (("--theorem", "t6", "--exact", "1/0"), ("--theorem", "t6", "--exact", "abc"),
                  ("--theorem", "t2", "--n", "0"),
                  ("--theorem", "t4", "--side", "lower", "--n", "1", "--l", "2", "--k", "4"),
@@ -127,6 +128,42 @@ def test_bounds_verbs():
         proc = run_cli("bounds", *argv)
         assert proc.returncode == 2 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "BadRange"
+
+
+@pytest.mark.parametrize("theorem, params", [("a6", ("--l", "2", "--k", "10")),
+                                             ("a7", ("--l", "4"))])
+def test_bounds_of_a_lower_only_theorem_print_its_lower_side(theorem, params):
+    proc = run_cli("bounds", "--theorem", theorem, *params)
+    assert proc.returncode == 0
+    blob = json.loads(proc.stdout)
+    assert blob["theorem"] == theorem.upper()
+    assert [b["side"] for b in blob["bounds"]] == ["lower"]
+    lower = run_cli("bounds", "--theorem", theorem, "--side", "lower", *params)
+    assert blob["bounds"][0] == json.loads(lower.stdout)
+    proc = run_cli("bounds", "--theorem", theorem, "--side", "upper", *params)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == "BadTheoremId"
+
+
+@pytest.mark.parametrize("exact", ["1e999999", "1e99999999999", "1e3", "1_000",
+                                   "\uff11/\uff12", " 1/2", "1/2\n", "+1/2", ".5", "1/-2",
+                                   "0." + "0" * 4298 + "1"],
+                         ids=lambda text: text if len(text) < 20 else "den-past-4300-digits")
+def test_bounds_exact_takes_ascii_fractions_and_decimals_only(exact):
+    # a bounded run, so that an exponent Fraction() would expand fails instead of hanging
+    proc = subprocess.run(CMD + ["bounds", "--theorem", "t2", "--n", "3", "--exact=" + exact],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["error"] == "BadRange"
+
+
+@pytest.mark.parametrize("argv", [("t1", "--l", "2"), ("a6", "--side", "lower", "--l", "2"),
+                                  ("t5", "--l", "2"), ("t1", "--l", "2", "--exact", "1/2")])
+def test_bounds_refuse_a_huge_k_with_exit_4(argv):
+    proc = run_cli("bounds", "--theorem", *argv, "--k", "9" * 2500)
+    assert proc.returncode == 4 and proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "DimensionTooLarge" and err["message"].startswith("k=999")
 
 
 def test_kpartite_verb(tmp_path):
@@ -223,16 +260,30 @@ def test_zl_bad_range_exits_2(args, tmp_path):
 
 
 def test_zl_reports_the_word_method():
-    for args in ((), ("--method", "enum"), ("--method", "words")):
-        proc = run_cli("zl", "--l", "4", *args)
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout) == {"k": 4, "l": 4, "method": "words", "value": "648"}
+    # --method names the one route whatever its value, off the diagonal and below l = 4 too
+    for zl, value in ((("--l", "4"), "648"), (("--l", "4", "--k", "3"), "6"),
+                      (("--l", "3"), "16")):
+        for args in ((), ("--method", "enum"), ("--method", "words")):
+            proc = run_cli("zl", *zl, *args)
+            assert proc.returncode == 0
+            blob = json.loads(proc.stdout)
+            assert blob["method"] == "words" and blob["value"] == value
+
+
+def test_zl_has_no_allow_small_option():
+    proc = run_cli("zl", "--l", "3", "--method", "words", "--allow-small")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --allow-small" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [("zl", "--l", "600", "--k", "12"),
                                   ("zwords", "--l", "600", "--count-only"),
                                   ("zl", "--l", "13"), ("zl", "--l", "13", "--method", "words"),
-                                  ("zwords", "--l", "13", "--count-only")])
+                                  ("zwords", "--l", "13", "--count-only"),
+                                  # past math.factorial's range: refused before l! is built
+                                  ("zl", "--l", str(2**63)),
+                                  ("bounds", "--theorem", "t3", "--l", str(2**63)),
+                                  ("zwords", "--l", str(2**63), "--count-only")])
 def test_word_count_refuses_huge_l_with_exit_4(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 4

@@ -1,11 +1,11 @@
 """Build script: compiles the optional kernels.
 
 `kernels.c` is one translation unit of plain C with no Python headers: the
-cycle DFS and the branch-and-bound of the extremal search. It is built as a
-shared library next to the package's modules and loaded with ctypes. The
-package works without it (the pure-Python twins are selected at import time),
-so a missing or failing C compiler, or one without `unsigned __int128`, only
-costs speed.
+cycle DFS, the branch-and-bound of the extremal search and the z word count.
+It is built as a shared library next to the package's modules and loaded
+with ctypes. The package works without it (the pure-Python twins are selected
+at import time), so a missing or failing C compiler, or one without
+`unsigned __int128`, only costs speed.
 
 `-O1 -g0`: the kernels' bit-mask loops run as fast as at the default -O3
 (measured with gcc 12), and the library compiles in about half the time.

@@ -21,6 +21,7 @@ BACKEND = "python" if _selected is _cycles_py else "c"
 count_cycles_kernel = _selected.count_cycles_kernel
 find_cycle_kernel = _selected.find_cycle_kernel
 bb_search_kernel = _selected.bb_search_kernel
+count_words_kernel = _selected.count_words_kernel
 
 
 def backend_name() -> str:

@@ -1,8 +1,9 @@
-"""ctypes binding of the compiled kernels in kernels.c: the cycle DFS and the
-branch-and-bound.
+"""ctypes binding of the compiled kernels in kernels.c: the cycle DFS, the
+branch-and-bound and the z word count.
 
 Importing raises ImportError when the library is not built, does not load or
-lacks either symbol, so both kernels fall back to their pure twins together.
+lacks any of the three symbols, so all kernels fall back to their pure twins
+together.
 ctypes releases the interpreter lock around every call, so threads counting
 disjoint start residues run the cycle kernel in parallel.
 """
@@ -21,13 +22,13 @@ def _load():
         if os.path.exists(path):
             try:
                 lib = ctypes.CDLL(path)
-                return lib.cycle_dfs, lib.bb_search
+                return lib.cycle_dfs, lib.bb_search, lib.count_words
             except (OSError, AttributeError) as exc:
                 raise ImportError(f"cannot load {path}: {exc}") from exc
     raise ImportError("compiled kernels not built")
 
 
-_dfs, _bb = _load()
+_dfs, _bb, _words = _load()
 _dfs.restype = ctypes.c_longlong
 _dfs.argtypes = (
     ctypes.POINTER(ctypes.c_uint32), ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
@@ -40,8 +41,12 @@ _bb.argtypes = (
     ctypes.c_int, ctypes.c_longlong, ctypes.c_int, ctypes.c_double,
     ctypes.POINTER(ctypes.c_longlong), ctypes.POINTER(ctypes.c_uint64),
 )
+_words.restype = ctypes.c_longlong
+_words.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_ubyte))
 
 MAX_BB_EDGES = 128
+MAX_WORDS_K = 16  # the seen table has 2^k bytes
+MAX_WORDS_L = (1 << 30) - 1  # 2l fits a C int
 _LOW = (1 << 64) - 1
 _NO_NODE_BUDGET = (1 << 63) - 1
 
@@ -94,3 +99,10 @@ def bb_search_kernel(ne, tmasks, fmasks, budget_nodes, budget_seconds):
     if spent:
         raise budget_stop("node" if spent == 1 else "time", value, tmasks, nodes)
     return value, kept[0] | kept[1] << 64, nodes
+
+
+def count_words_kernel(k, ell):
+    """The canonical word count of _cycles_py.count_words_kernel."""
+    if not 1 <= k <= MAX_WORDS_K or not 2 <= ell <= MAX_WORDS_L:
+        raise ValueError(f"bad kernel call: k={k} (1..{MAX_WORDS_K}), l={ell} (2..{MAX_WORDS_L})")
+    return _words(k, ell, (ctypes.c_ubyte * (1 << k))())

@@ -1,6 +1,6 @@
-"""Pure-Python twins of the compiled kernels in kernels.c: the cycle DFS and
-the branch-and-bound. Each has the name and signature of its binding in
-_cycles_c and the contract stated here.
+"""Pure-Python twins of the compiled kernels in kernels.c: the cycle DFS, the
+branch-and-bound and the z word count. Each has the name and signature of its
+binding in _cycles_c and the contract stated here.
 
 The cycle kernels work on a Subgraph `g`:
 
@@ -21,6 +21,9 @@ collecting every cycle are its three uses.
 
 `bb_search_kernel` visits the same nodes in the same order as bb_search, so
 values, kept sets, node counts and budget stops agree across backends.
+
+`count_words_kernel` counts the words that zwords.count_canonical_words
+defines; that function holds the caller-facing refusal.
 """
 
 from __future__ import annotations
@@ -177,3 +180,45 @@ def bb_search_kernel(ne, tmasks, fmasks, budget_nodes, budget_seconds):
     # solution deletes the first edge in the fixed order: fix it at the root.
     dfs(0, 1)
     return state["best"], state["best_kept"], state["nodes"]
+
+
+def count_words_kernel(k, ell):
+    """Star words of 2l-cycles in Q_k using all k symbols, in first-occurrence
+    canonical form: symbol s first appears after symbols 0..s-1.
+
+    A word's prefix masks are pairwise distinct and its last mask is 0; the
+    recursion places one letter per level and keeps the masks of the current
+    branch in `seen`.
+    """
+    seen = {0}  # prefix masks on the current branch
+    bits = [1 << s for s in range(k)]
+
+    def rec(left: int, mask: int, used: int) -> int:
+        # Closing takes popcount(mask) letters and each unused symbol two; with
+        # one letter left, that forces a single-bit mask, all k symbols used
+        # and the last letter, so the word is counted without placing it.
+        left -= 1
+        slack = left - 2 * (k - used)
+        total = 0
+        for b in bits[:used]:
+            nm = mask ^ b
+            if nm in seen or nm.bit_count() > slack:
+                continue
+            if left == 1:
+                total += 1
+            else:
+                seen.add(nm)
+                total += rec(left, nm, used)
+                seen.discard(nm)
+        if used < k:
+            nm = mask | bits[used]  # the next new symbol: one fewer unused
+            if nm not in seen and nm.bit_count() <= slack + 2:
+                if left == 1:
+                    total += 1
+                else:
+                    seen.add(nm)
+                    total += rec(left, nm, used + 1)
+                    seen.discard(nm)
+        return total
+
+    return rec(2 * ell, 0, 0)

@@ -1,5 +1,5 @@
-/* Compiled kernels: the canonical cycle DFS on hypercube direction masks and
- * the branch-and-bound of the exact extremal search.
+/* Compiled kernels: the canonical cycle DFS on hypercube direction masks, the
+ * branch-and-bound of the exact extremal search and the z word count.
  *
  * One library, loaded with ctypes by _cycles_c.py. The pure twins in
  * _cycles_py.py, under the names of the bindings, state the contracts both
@@ -195,4 +195,46 @@ int bb_search(int ne, const uint64_t *tmasks, int nt, const uint64_t *fmasks, in
     kept[0] = (uint64_t)s.best_kept;
     kept[1] = (uint64_t)(s.best_kept >> 64);
     return s.spent;
+}
+
+/* count_words: the first-occurrence-canonical star words of 2l-cycles in Q_k
+ * that use all k symbols, counted as _cycles_py.count_words_kernel states.
+ * seen holds 2^k zeroed bytes, one per prefix mask, and is zeroed again on
+ * return; words() recurses once per letter, at most min(2l, 2^k) deep, since
+ * the masks on one branch are distinct.
+ *
+ * The count cannot overflow in any run that ends: each word counted is one
+ * leaf visited, and no run visits 2^63 of them.
+ */
+static long long words(int k, int left, uint32_t mask, int used, unsigned char *seen)
+{
+    /* Closing takes popcount(mask) letters and each unused symbol two; with
+     * one letter left, that forces a single-bit mask, all k symbols used and
+     * the last letter, so the word is counted without placing it. */
+    --left;
+    const int slack = left - 2 * (k - used);
+    long long total = 0;
+    /* the used symbols, then the next new one (s == used), which flips a
+     * clear bit and leaves one fewer symbol unused */
+    for (int s = 0; s <= used && s < k; s++) {
+        uint32_t nm = mask ^ (uint32_t)1 << s;
+        if (seen[nm] || __builtin_popcount(nm) > slack + 2 * (s == used))
+            continue;
+        if (left == 1) {
+            ++total;
+            continue;
+        }
+        seen[nm] = 1;
+        total += words(k, left, nm, used + (s == used), seen);
+        seen[nm] = 0;
+    }
+    return total;
+}
+
+long long count_words(int k, int ell, unsigned char *seen)
+{
+    seen[0] = 1;
+    long long total = words(k, 2 * ell, 0, 0, seen);
+    seen[0] = 0;
+    return total;
 }

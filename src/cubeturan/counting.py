@@ -95,14 +95,17 @@ class ZTable:
             return
         lines = [f"{self.HEADER} {__version__}"]
         lines += [f"z {k} {ell} {v}" for (k, ell), v in sorted(self._values.items())]
-        fd, tmp = tempfile.mkstemp(prefix=".ztable-", dir=os.path.dirname(os.path.abspath(path)))
         try:
-            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(prefix=".ztable-", dir=os.path.dirname(os.path.abspath(path)))
+            try:
+                with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write("\n".join(lines) + "\n")
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:  # name the cache, not the temporary file beside it
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
 
     def get(self, k: int, ell: int) -> int:
         if (k, ell) not in self._values and (value := z_kl(k, ell)):

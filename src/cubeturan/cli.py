@@ -19,7 +19,7 @@ from ._kernels import backend_name
 from ._version import __version__
 from .bounds import LOWER, LOWER_ONLY, UPPER, bound_sandwich_report, eval_bound
 from .constructions import KINDS, ConstructionSpec
-from .core import StarVector, load_subgraph, save_subgraph
+from .core import load_subgraph, save_subgraph
 from .counting import ZTable, count_report
 from .errors import (
     BadRange,
@@ -42,31 +42,14 @@ EXIT_LIMIT = 4
 ZCACHE_ENV = "CUBETURAN_ZCACHE"
 
 
-def _ztable(args) -> ZTable:
-    return ZTable(args.z_cache) if args.z_cache else ZTable()
-
-
-def _witness_json(witness) -> dict | None:
-    if witness is None:
-        return None
-    if isinstance(witness, StarVector):
-        return {"type": "subcube", "cells": witness.cells}
-    return {"type": "cycle", **witness.to_json_dict()}
-
-
-def _witness_text(witness) -> str:
-    if isinstance(witness, StarVector):
-        return witness.cells
-    return " ".join(str(v) for v in witness.vertices)
-
-
 # ---------------------------------------------------------------------------
 # verb handlers: each returns (exit_code, payload, summary)
 
 def _cmd_count(args):
     pattern = parse_pattern(args.pattern)
     g = load_subgraph(args.input) if args.input else None
-    rep = count_report(args.n, pattern, g=g, z=_ztable(args), threads=args.threads)
+    rep = count_report(args.n, pattern, g=g, z=ZTable(args.z_cache or None),
+                       threads=args.threads)
     return EXIT_OK, rep.to_json_dict(), f"{rep.count} {rep.pattern} in " + (
         f"{args.input}" if args.input else f"Q_{rep.n}") + f" ({rep.method})"
 
@@ -74,7 +57,7 @@ def _cmd_count(args):
 def _cmd_zl(args):
     ell = args.l
     k = args.k if args.k is not None else ell
-    value = _ztable(args).get(k, ell)
+    value = ZTable(args.z_cache or None).get(k, ell)
     payload = {"k": k, "l": ell, "value": str(value), "method": "words"}
     return EXIT_OK, payload, f"z({k},{ell}) = {value} [words]"
 
@@ -114,15 +97,16 @@ def _cmd_construct(args):
 def _cmd_verify(args):
     pattern = parse_pattern(args.forbid)
     verdict = is_pattern_free(load_subgraph(args.path), pattern)
+    witness = verdict.witness
     payload = {
         "forbid": str(pattern),
         "free": verdict.free,
-        "witness": _witness_json(verdict.witness),
+        "witness": None if witness is None else witness.to_json_dict(),
         "checked_count": verdict.checked_count,
     }
     if verdict.free:
         return EXIT_OK, payload, f"{args.path} is {pattern}-free"
-    return EXIT_WITNESS, payload, f"{pattern} found: {_witness_text(verdict.witness)}"
+    return EXIT_WITNESS, payload, f"{pattern} found: {witness}"
 
 
 def _search(args, method="auto"):
@@ -168,7 +152,7 @@ def _parse_exact(text: str) -> Fraction:
 def _cmd_bounds(args):
     params = {name: getattr(args, name) for name in ("n", "k", "l")
               if getattr(args, name) is not None}
-    z = _ztable(args)
+    z = ZTable(args.z_cache or None)
     if args.exact is not None:
         payload = bound_sandwich_report(args.theorem, params, z=z,
                                         exact=_parse_exact(args.exact))
@@ -183,14 +167,14 @@ def _cmd_bounds(args):
 
 def _cmd_kpartite(args):
     g = load_subgraph(args.path)
-    rep = has_k_partite_representation(g, args.k)
+    sigma = has_k_partite_representation(g, args.k)
     payload = {
         "k": args.k,
         "ell": g.n,
-        "exists": rep is not None,
-        "sigma": None if rep is None else list(rep.sigma),
+        "exists": sigma is not None,
+        "sigma": None if sigma is None else list(sigma),
     }
-    note = "exists" if rep else "does not exist"
+    note = "exists" if sigma is not None else "does not exist"
     return EXIT_OK, payload, f"{args.k}-partite representation {note}"
 
 
@@ -330,30 +314,25 @@ def _emit_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # --out of construct is the subgraph file; its report goes to stdout
+    out_path = None if args.verb == "construct" else args.out
     try:
         code, payload, summary = args.handler(args)
+        text = _render(payload, args.format)
+        if out_path:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except BudgetExceeded as exc:
         _emit_error(exc)
         return EXIT_BUDGET
     except (DimensionTooLarge, EnumerationTooLarge) as exc:
         _emit_error(exc)
         return EXIT_LIMIT
-    except CubeError as exc:
+    except (CubeError, OSError) as exc:
         _emit_error(exc)
         return EXIT_USAGE
-    except OSError as exc:
-        _emit_error(exc)
-        return EXIT_USAGE
-    text = _render(payload, getattr(args, "format", "json"))
-    out_path = getattr(args, "out", None)
-    if args.verb == "construct":
-        out_path = None  # --out is the subgraph file; the report goes to stdout
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
     print(summary, file=sys.stderr)
     return code

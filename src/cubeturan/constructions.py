@@ -1,29 +1,27 @@
 """Deterministic generators for the known extremal constructions.
 
-Each generator returns an immutable Subgraph (or an explicit cycle family)
-tagged with a provenance name.  Identical parameters always produce identical
-edge sets, so saved files are byte-for-byte reproducible.
+Each generator returns an immutable Subgraph tagged with a provenance name.
+Identical parameters always produce identical edge sets, so saved files are
+byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import (
-    StarVector,
     Subgraph,
     edge_pair_masks,
     full_cube,
     iter_subcubes,
     parse_cells,
     subcube_edges,
-    subcube_star_vector,
     subcube_vertices,
     subgraph_where,
 )
-from .counting import CycleWitness, binomial_residue_sum, find_cycle
+from .counting import binomial_residue_sum, find_cycle
 from .errors import BadRange, CycleDoesNotFit
 from .zwords import min_star_count
 
@@ -119,7 +117,7 @@ def parity_q2_packing(n: int) -> Subgraph:
 
 
 # ---------------------------------------------------------------------------
-# the mod-3 congruence graph and its explicit cycle families
+# the mod-3 congruence graph and its explicit cycles
 
 def conder_graph(n: int) -> Subgraph:
     """Edges with ones(prefix) - ones(suffix) = 0 mod 3 (Conder's 3-coloring
@@ -211,29 +209,17 @@ def _cycle_row_masks(ell: int) -> list[int]:
     return [parse_cells(r, ell)[1] for r in rows]
 
 
-@dataclass(frozen=True)
-class CycleFamily:
-    """One explicit 2l-cycle inside each selected Q_l, plus their union."""
-
-    n: int
-    ell: int
-    members: tuple[tuple[StarVector, CycleWitness], ...]
-    union_graph: Subgraph = field(compare=False)
-
-
-def conder_cycle_family(n: int, ell: int) -> CycleFamily:
-    """For every mod-3 selected Q_l, the explicit 2l-cycle using all of its
-    star positions; every edge of every member lies in conder_graph(n)."""
+def conder_cycles(n: int, ell: int) -> Subgraph:
+    """The union of the explicit 2l-cycles, one in every mod-3 selected Q_l and
+    using all of its star positions; every edge lies in conder_graph(n)."""
     selected = _mod3_pairs(n, ell)  # checks l >= 4 and n >= l
     rows = _cycle_row_masks(ell)
-    members = []
+    pairs = []
     for stars, base in selected:
         corners = subcube_vertices(stars, base)  # indexed by fill, as the row masks are
-        witness = CycleWitness.from_vertices(n, [corners[mask] for mask in rows])
-        members.append((subcube_star_vector(n, stars, base), witness))
-    masks = edge_pair_masks(e for _, w in members for e in w.edge_pairs())
-    graph = Subgraph(n, name=f"conder-cycles(n={n},l={ell})", masks=masks)
-    return CycleFamily(n, ell, tuple(members), graph)
+        cycle = [corners[mask] for mask in rows]
+        pairs += zip(cycle, cycle[1:] + cycle[:1])
+    return Subgraph(n, name=f"conder-cycles(n={n},l={ell})", masks=edge_pair_masks(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +282,7 @@ KINDS = {
     "parity-q2": Kind(parity_q2_packing, ("n",), claim="c6"),
     "conder": Kind(conder_graph, ("n",), claim="c6"),
     "mod3-select": Kind(mod3_select, ("n", "l")),
-    "conder-cycles": Kind(lambda n, ell: conder_cycle_family(n, ell).union_graph, ("n", "l"),
-                          claim="c6"),
+    "conder-cycles": Kind(conder_cycles, ("n", "l"), claim="c6"),
     "qm-packing": Kind(
         disjoint_qm_packing, ("n", "m"), takes=("l",), flags=("with_cycles",),
         claim=lambda m, with_cycles=False, ell=None, **_: (

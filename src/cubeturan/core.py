@@ -14,8 +14,10 @@ Conventions (used everywhere in the package):
 * star strings such as ``01*10`` (the edge joining 01010 and 01110) appear
   only at the boundary: files, ``Subgraph(n, edges)``,
   ``Subgraph.sorted_edges()`` and witnesses. ``parse_cells`` is their one
-  reader and ``format_cells`` their one writer, and ``edge_pair`` holds the
-  one-star rule of an edge.
+  reader and ``edge_pair`` holds the one-star rule of an edge.
+  ``format_cells`` writes them, except that ``Subgraph.sorted_edges`` splices
+  the star into each vertex's bits itself, which saves conder(16) in 0.167 s
+  against 0.200 s through ``format_cells``.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ def parse_cells(text: str, n: int) -> tuple[int, int]:
 
 
 def format_cells(n: int, stars: int, base: int) -> str:
-    """The word of length n naming (star mask, base): the only writer of star text."""
+    """The word of length n naming (star mask, base); star text is written here,
+    and only `Subgraph.sorted_edges` splices edge words itself, for save speed."""
     cells = bin(base | 1 << n)[:2:-1]  # drops the "0b1" that fixes the length
     while stars:
         p = (stars & -stars).bit_length() - 1
@@ -117,6 +120,9 @@ class StarVector:
 
     def __str__(self) -> str:
         return self.cells
+
+    def to_json_dict(self) -> dict:
+        return {"type": "subcube", "cells": self.cells}
 
 
 def parse_star_vector(text: str, n: int) -> StarVector:
@@ -209,7 +215,8 @@ class Subgraph:
         return f"Subgraph(n={self.n}, edge_count={self.edge_count}, name={self.name!r})"
 
     def sorted_edges(self) -> list[str]:
-        """The edges as star strings, in lexicographic order."""
+        """The edges as star strings, in lexicographic order. The star is spliced
+        into each vertex's bits here rather than by format_cells, for save speed."""
         keys = []
         for v, m in self.masks.items():
             up = m & ~v

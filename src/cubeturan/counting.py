@@ -147,15 +147,6 @@ class CycleWitness:
         if vs[0] != min(vs) or vs[1] > vs[-1]:
             raise BadRange("cycle sequence is not in canonical orientation")
 
-    @classmethod
-    def from_vertices(cls, n: int, vertices) -> "CycleWitness":
-        """Canonicalize an arbitrary closed sequence (any rotation/direction)."""
-        vs = list(vertices)
-        i = vs.index(min(vs))
-        fwd = tuple(vs[(i + j) % len(vs)] for j in range(len(vs)))
-        bwd = tuple(vs[(i - j) % len(vs)] for j in range(len(vs)))
-        return cls(n, min(fwd, bwd))
-
     @property
     def length(self) -> int:
         return len(self.vertices)
@@ -166,7 +157,10 @@ class CycleWitness:
         return [(min(u, v), max(u, v)) for u, v in zip(vs, vs[1:] + vs[:1])]
 
     def to_json_dict(self) -> dict:
-        return {"length": self.length, "vertices": list(self.vertices)}
+        return {"type": "cycle", "length": self.length, "vertices": list(self.vertices)}
+
+    def __str__(self) -> str:
+        return " ".join(map(str, self.vertices))
 
 
 def _cycle_fits(g: Subgraph, length: int) -> bool:

@@ -64,20 +64,11 @@ def is_pattern_free(g: Subgraph, forbid: Pattern) -> FreenessVerdict:
     return FreenessVerdict(not edges, StarVector(g.n, edges[0]) if edges else None, g.edge_count)
 
 
-@dataclass(frozen=True)
-class PartiteRepresentation:
-    """A coloring of coordinate positions by {1..k} that is rainbow on the
-    non-zero positions of every edge."""
-
-    ell: int
-    k: int
-    sigma: tuple[int, ...]
-
-
-def has_k_partite_representation(g: Subgraph, k: int) -> PartiteRepresentation | None:
+def has_k_partite_representation(g: Subgraph, k: int) -> tuple[int, ...] | None:
     """Find sigma: positions -> {1..k} giving every edge of g k distinctly-colored
-    non-zero positions, or None. The non-zero positions of the edge (v, p), v
-    its lower endpoint, are the ones of its upper endpoint v | 1 << p.
+    non-zero positions, as the tuple of each position's color, or None. The
+    non-zero positions of the edge (v, p), v its lower endpoint, are the ones
+    of its upper endpoint v | 1 << p.
 
     Only positions that are non-zero in some edge are constrained; the rest
     map to 1. The search assigns constrained positions in increasing order,
@@ -87,11 +78,10 @@ def has_k_partite_representation(g: Subgraph, k: int) -> PartiteRepresentation |
         raise BadRange("edge list must be non-empty")
     if k < 1:
         raise BadRange(f"need k >= 1, got {k}")
-    ell = g.n
     uppers = {v for v, m in g.masks.items() if m & v}
     if any(v.bit_count() != k for v in uppers):
         return None
-    supports = [tuple(p for p in range(ell) if v >> p & 1) for v in sorted(uppers)]
+    supports = [tuple(p for p in range(g.n) if v >> p & 1) for v in sorted(uppers)]
     used = sorted({p for s in supports for p in s})
     conflicts: dict[int, set[int]] = {p: set() for p in used}
     for s in supports:
@@ -116,5 +106,4 @@ def has_k_partite_representation(g: Subgraph, k: int) -> PartiteRepresentation |
 
     if not assign(0):
         return None
-    sigma = tuple(color.get(p, 1) for p in range(ell))
-    return PartiteRepresentation(ell, k, sigma)
+    return tuple(color.get(p, 1) for p in range(g.n))

@@ -67,16 +67,30 @@ def test_only_the_verbs_that_read_z_take_a_z_cache(verb):
     assert "--threads" in flags  # every verb takes it, whether or not it reads it
 
 
-def test_verify_finds_witness(tmp_path):
+#: (forbidden pattern, witness JSON, stderr summary) of verify on all of Q_3
+Q3_WITNESSES = [
+    ("q2", {"type": "subcube", "cells": "**0"}, "q2 found: **0\n"),
+    ("c4", {"type": "cycle", "length": 4, "vertices": [0, 1, 3, 2]}, "c4 found: 0 1 3 2\n"),
+    ("e", {"type": "subcube", "cells": "*00"}, "e found: *00\n"),
+]
+
+
+def _full_q3(tmp_path):
     out = tmp_path / "full.cube"
     proc = run_cli("construct", "qm-packing", "--n", "3", "--m", "3", "--out", str(out))
     assert proc.returncode == 0  # that is all of Q_3
-    check = run_cli("verify", "--forbid", "c4", str(out))
-    assert check.returncode == 1
-    blob = json.loads(check.stdout)
-    assert blob["free"] is False
-    assert blob["witness"]["type"] == "cycle"
-    assert len(blob["witness"]["vertices"]) == 4
+    return out
+
+
+def test_verify_finds_witness(tmp_path):
+    out = _full_q3(tmp_path)
+    for forbid, witness, summary in Q3_WITNESSES:
+        check = run_cli("verify", "--forbid", forbid, str(out))
+        assert check.returncode == 1
+        blob = json.loads(check.stdout)
+        assert blob["free"] is False
+        assert blob["witness"] == witness
+        assert check.stderr == summary
 
 
 def test_search_paper_value(tmp_path):
@@ -174,14 +188,28 @@ def test_kpartite_verb(tmp_path):
     blob = json.loads(proc.stdout)
     assert blob["exists"] is True
     assert len(blob["sigma"]) == 3
+    for k, csv, summary in (
+            ("2", "ell,3\nexists,True\nk,2\nsigma,1;2;1\n", "2-partite representation exists\n"),
+            ("3", "ell,3\nexists,False\nk,3\nsigma,\n",
+             "3-partite representation does not exist\n")):
+        proc = run_cli("kpartite", "--k", k, "--format", "csv", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, csv, summary)
 
 
-def test_csv_format():
+def test_csv_format(tmp_path):
     proc = run_cli("count", "--n", "3", "--pattern", "c4", "--format", "csv")
     assert proc.returncode == 0
     rows = dict(line.split(",", 1) for line in proc.stdout.strip().splitlines())
     assert rows["count"] == "6"
     assert rows["density.num"] == "1"
+    out = _full_q3(tmp_path)
+    for forbid, witness_rows in (
+            ("q2", "checked_count,1\nforbid,q2\nfree,False\n"
+                   "witness.cells,**0\nwitness.type,subcube\n"),
+            ("c4", "checked_count,6\nforbid,c4\nfree,False\n"
+                   "witness.length,4\nwitness.type,cycle\nwitness.vertices,0;1;3;2\n")):
+        proc = run_cli("verify", "--forbid", forbid, "--format", "csv", str(out))
+        assert (proc.returncode, proc.stdout) == (1, witness_rows)
 
 
 def test_usage_errors_exit_2():
@@ -328,6 +356,7 @@ def test_pattern_orders_that_are_not_ascii_digits_exit_2(pattern):
     ("construct", "conder", "--out", os.devnull, "--n", str(MAX_WHOLE_CUBE_N + 1)),
     ("construct", "mod3-select", "--l", "4", "--out", os.devnull, "--n", str(MAX_WHOLE_CUBE_N + 1)),
     ("zl", "--l", "5", "--z-cache", "/nonexistent/d/z.cache"),  # no directory to write it in
+    ("count", "--n", "3", "--pattern", "c4", "--out", "/nonexistent/d/r.json"),  # nor the report
 ])
 def test_hostile_inputs_fail_with_a_structured_error(argv, tmp_path):
     if argv[-1].startswith("cube v1"):  # a file holding just this header

@@ -16,11 +16,12 @@ from helpers import (
 from cubeturan.constructions import (
     KINDS,
     ConstructionSpec,
+    _cycle_row_masks,
     _mod3_hit,
     _residue_hit,
     aks_appendix_graph,
     aks_graph,
-    conder_cycle_family,
+    conder_cycles,
     conder_graph,
     disjoint_qm_packing,
     even_odd_layers,
@@ -34,11 +35,13 @@ from cubeturan.core import (
     Subgraph,
     edge_layer,
     edge_pair,
+    edge_pair_masks,
     expand_edges,
     format_cells,
     full_cube,
     iter_subcubes,
     save_subgraph,
+    subcube_vertices,
 )
 from cubeturan.counting import count_copies_qk, count_cycles
 from cubeturan.errors import BadRange, CycleDoesNotFit
@@ -229,19 +232,22 @@ def test_cycle_family_tables():
 
 @pytest.mark.parametrize("n,ell", [(7, 4), (9, 5), (6, 6), (8, 6), (7, 7)])
 def test_cycle_family_lies_in_conder_graph(n, ell):
-    fam = conder_cycle_family(n, ell)
     cg = conder_graph(n)
     sel = [name for name in subcube_names(n, ell) if mod3_oracle_selected(name)]
-    assert sorted(sv.cells for sv, _ in fam.members) == sorted(sel) != []
-    seen = set()
-    for sv, witness in fam.members:
-        assert witness.length == 2 * ell
-        assert sum({u ^ v for u, v in witness.edge_pairs()}) == sv.pair[0]  # every star, no other
-        for u, v in witness.edge_pairs():
+    assert sel != []
+    union = set()
+    for name in sel:
+        stars, base = StarVector(n, name).pair
+        corners = subcube_vertices(stars, base)
+        cycle = [corners[mask] for mask in _cycle_row_masks(ell)]
+        assert len(set(cycle)) == len(cycle) == 2 * ell
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        assert all((u ^ v).bit_count() == 1 for u, v in edges)  # consecutive ones adjacent
+        assert sum({u ^ v for u, v in edges}) == stars  # every star of this Q_l, no other
+        for u, v in edges:
             assert cg.masks.get(u, 0) & (u ^ v)
-        seen.add(witness.vertices)
-    assert len(seen) == len(fam.members)
-    assert set(fam.union_graph.sorted_edges()) <= set(cg.sorted_edges())
+        union |= {(min(u, v), max(u, v)) for u, v in edges}
+    assert conder_cycles(n, ell) == Subgraph(n, masks=edge_pair_masks(union))
 
 
 def test_qm_packing_plain():

@@ -212,12 +212,18 @@ def test_binomial_residue_sum():
 
 def test_cycle_witness_canonicalization():
     square = [0, 1, 3, 2]
+    orders = set()
     for shift in range(4):
         rotated = square[shift:] + square[:shift]
-        for seq in (rotated, rotated[::-1]):
-            w = CycleWitness.from_vertices(2, seq)
-            assert w.vertices == (0, 1, 3, 2)
-    assert CycleWitness(2, (0, 1, 3, 2)).edge_pairs() == [(0, 1), (1, 3), (2, 3), (0, 2)]
+        orders |= {tuple(rotated), tuple(rotated[::-1])}
+    assert len(orders) == 8
+    for seq in orders - {(0, 1, 3, 2)}:  # of the 8 orders only the canonical one is taken
+        with pytest.raises(BadRange):
+            CycleWitness(2, seq)
+    w = CycleWitness(2, (0, 1, 3, 2))
+    assert w.edge_pairs() == [(0, 1), (1, 3), (2, 3), (0, 2)]
+    assert w.to_json_dict() == {"type": "cycle", "length": 4, "vertices": [0, 1, 3, 2]}
+    assert str(w) == "0 1 3 2"
     with pytest.raises(BadRange):
         CycleWitness(2, (0, 2, 3, 1))  # not canonical (second > last)
     with pytest.raises(BadRange):

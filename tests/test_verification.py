@@ -112,14 +112,11 @@ def sigma_oracle(edges, k):
 
 
 def test_kpartite_examples():
-    rep = has_k_partite_representation(Subgraph(2, ["1*"]), 2)
-    assert rep is not None
-    assert sorted(rep.sigma) == [1, 2]
+    assert sorted(has_k_partite_representation(Subgraph(2, ["1*"]), 2)) == [1, 2]
     q2 = Subgraph(2, ["*0", "*1", "0*", "1*"])
     assert has_k_partite_representation(q2, 2) is None
-    rep = has_k_partite_representation(Subgraph(3, ["1*0", "*10"]), 2)
-    assert rep is not None
-    assert rep.sigma[0] != rep.sigma[1]
+    sigma = has_k_partite_representation(Subgraph(3, ["1*0", "*10"]), 2)
+    assert sigma == (1, 2, 1)  # positions 0 and 1 differ; the free position 2 maps to 1
 
 
 def test_kpartite_matches_exhaustive_search():
@@ -136,12 +133,13 @@ def test_kpartite_matches_exhaustive_search():
                 for i in range(ell)
             )
             edges.append(StarVector(ell, cells))
-        rep = has_k_partite_representation(Subgraph(ell, [sv.cells for sv in edges]), k)
-        assert (rep is not None) == sigma_oracle(edges, k)
-        if rep is not None:
+        sigma = has_k_partite_representation(Subgraph(ell, [sv.cells for sv in edges]), k)
+        assert (sigma is not None) == sigma_oracle(edges, k)
+        if sigma is not None:
+            assert len(sigma) == ell
             for sv in edges:
                 support = [i for i, c in enumerate(sv.cells) if c != "0"]
-                assert {rep.sigma[p] for p in support} == set(range(1, k + 1))
+                assert {sigma[p] for p in support} == set(range(1, k + 1))
 
 
 def test_kpartite_validation():

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 
-from ..core import adjacency_lists
 from ..errors import BudgetExceeded
 
 
@@ -40,6 +39,8 @@ def _dfs(g, length, start=0, step=1, out=None, first=False):
     With a list `out`, each cycle is appended to it as a vertex tuple, and
     with `first` the search stops after the first one.
     """
+    from ..core import adjacency_lists  # not at import: the word count needs no core
+
     adj = adjacency_lists(g)
     masks = g.masks
     in_path = bytearray(len(adj))

@@ -4,6 +4,10 @@ JSON goes to stdout (or --out); a one-line human summary goes to stderr.
 Exit codes: 0 success (and "free" for verify), 1 witness found (verify),
 2 usage error, 3 budget exceeded, 4 internal limit (dimension/enumeration cap).
 All counts in JSON are decimal strings; densities are exact num/den pairs.
+
+Each verb imports the modules it runs inside its handler, and main builds the
+arguments of the requested verb only, so a command loads no module it does
+not use: process start-up is most of a short command's time.
 """
 
 from __future__ import annotations
@@ -13,14 +17,9 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from ._kernels import backend_name
 from ._version import __version__
-from .bounds import LOWER, LOWER_ONLY, UPPER, bound_sandwich_report, eval_bound
-from .constructions import KINDS, ConstructionSpec
-from .core import load_subgraph, save_subgraph
-from .counting import ZTable, count_report
 from .errors import (
     BadRange,
     BudgetExceeded,
@@ -28,10 +27,7 @@ from .errors import (
     DimensionTooLarge,
     EnumerationTooLarge,
 )
-from .patterns import parse_pattern
-from .search import exact_extremal
-from .verification import has_k_partite_representation, is_pattern_free
-from .zwords import count_z_words, iter_z_words
+from .zwords import ZTable, count_z_words, iter_z_words
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -46,6 +42,10 @@ ZCACHE_ENV = "CUBETURAN_ZCACHE"
 # verb handlers: each returns (exit_code, payload, summary)
 
 def _cmd_count(args):
+    from .core import load_subgraph
+    from .counting import count_report
+    from .patterns import parse_pattern
+
     pattern = parse_pattern(args.pattern)
     g = load_subgraph(args.input) if args.input else None
     rep = count_report(args.n, pattern, g=g, z=ZTable(args.z_cache or None),
@@ -72,11 +72,10 @@ def _cmd_zwords(args):
     return EXIT_OK, payload, f"|Z({ell})| = {count}"
 
 
-#: every parameter some construction reads, in KINDS order, and whether it is a switch
-CONSTRUCT_PARAMS = {name: name in row.flags for row in KINDS.values() for name in row.params}
-
-
 def _cmd_construct(args):
+    from .constructions import CONSTRUCT_PARAMS, ConstructionSpec
+    from .core import save_subgraph
+
     params = {name: getattr(args, name) for name in CONSTRUCT_PARAMS
               if getattr(args, name) is not None}
     spec = ConstructionSpec(args.kind, params)
@@ -95,6 +94,10 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
+    from .core import load_subgraph
+    from .patterns import parse_pattern
+    from .verification import is_pattern_free
+
     pattern = parse_pattern(args.forbid)
     verdict = is_pattern_free(load_subgraph(args.path), pattern)
     witness = verdict.witness
@@ -111,6 +114,9 @@ def _cmd_verify(args):
 
 def _search(args, method="auto"):
     """The search the arguments name, and its report headed by n, target and forbid."""
+    from .patterns import parse_pattern
+    from .search import exact_extremal
+
     target, forbid = parse_pattern(args.target), parse_pattern(args.forbid)
     result = exact_extremal(args.n, target, forbid, budget_nodes=args.budget_nodes,
                             budget_seconds=args.budget_seconds, method=method)
@@ -119,6 +125,8 @@ def _search(args, method="auto"):
 
 
 def _cmd_search(args):
+    from .core import save_subgraph
+
     result, payload = _search(args, args.method)
     if args.witness_out:
         save_subgraph(result.witness, args.witness_out)
@@ -139,7 +147,10 @@ def _cmd_density(args):
 EXACT_GRAMMAR = re.compile(r"-?[0-9]+(/[0-9]+|(\.[0-9]+)?)")
 
 
-def _parse_exact(text: str) -> Fraction:
+def _parse_exact(text: str):
+    """The Fraction `text` names, if EXACT_GRAMMAR takes it."""
+    from fractions import Fraction
+
     # 4300 characters keep the report's num and den within str()'s 4300 digits
     if len(text) <= 4300 and EXACT_GRAMMAR.fullmatch(text):
         try:
@@ -150,6 +161,8 @@ def _parse_exact(text: str) -> Fraction:
 
 
 def _cmd_bounds(args):
+    from .bounds import LOWER, LOWER_ONLY, UPPER, bound_sandwich_report, eval_bound
+
     params = {name: getattr(args, name) for name in ("n", "k", "l")
               if getattr(args, name) is not None}
     z = ZTable(args.z_cache or None)
@@ -166,6 +179,9 @@ def _cmd_bounds(args):
 
 
 def _cmd_kpartite(args):
+    from .core import load_subgraph
+    from .verification import has_k_partite_representation
+
     g = load_subgraph(args.path)
     sigma = has_k_partite_representation(g, args.k)
     payload = {
@@ -180,7 +196,9 @@ def _cmd_kpartite(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, with the arguments of `verb` only (of all verbs
+    when it is None): a verb's subparser is listed with its help either way."""
     parser = argparse.ArgumentParser(
         prog="cubeturan",
         description="Exact subcube/cycle counting, constructions, freeness "
@@ -190,6 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__} (kernel: {backend_name()})")
     sub = parser.add_subparsers(dest="verb", required=True)
+
+    def add(name, summary, handler):
+        """The subparser of `name`, or None when its arguments are not built."""
+        p = sub.add_parser(name, help=summary)
+        if verb not in (None, name):
+            return None
+        p.set_defaults(handler=handler)
+        return p
 
     def common(p):
         p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -202,85 +228,80 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z-cache", default=os.environ.get(ZCACHE_ENV),
                        help=f"z-table cache file (default ${ZCACHE_ENV})")
 
-    p = sub.add_parser("count", help="count a pattern in Q_n or in a subgraph file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--pattern", required=True, help="e, q<k> or c<m>")
-    p.add_argument("--input", help="subgraph file; omit to count in Q_n itself")
-    common(p)
-    z_cache(p)
-    p.set_defaults(handler=_cmd_count)
+    if p := add("count", "count a pattern in Q_n or in a subgraph file", _cmd_count):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--pattern", required=True, help="e, q<k> or c<m>")
+        p.add_argument("--input", help="subgraph file; omit to count in Q_n itself")
+        common(p)
+        z_cache(p)
 
-    p = sub.add_parser("zl", help="z_{k,l}: cycles in Q_k using all k positions")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--method", choices=("enum", "words"), default="enum",
-                   help="both name the one route: count words through the z-table "
-                        "and --z-cache; kept so that existing invocations work")
-    common(p)
-    z_cache(p)
-    p.set_defaults(handler=_cmd_zl)
+    if p := add("zl", "z_{k,l}: cycles in Q_k using all k positions", _cmd_zl):
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--k", type=int)
+        p.add_argument("--method", choices=("enum", "words"), default="enum",
+                       help="both name the one route: count words through the z-table "
+                            "and --z-cache; kept so that existing invocations work")
+        common(p)
+        z_cache(p)
 
-    p = sub.add_parser("zwords", help="the word set Z(l) and its cardinality")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    common(p)
-    p.set_defaults(handler=_cmd_zwords)
+    if p := add("zwords", "the word set Z(l) and its cardinality", _cmd_zwords):
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--count-only", action="store_true")
+        common(p)
 
-    p = sub.add_parser("construct", help="emit a known construction as a subgraph file")
-    p.add_argument("kind", choices=KINDS)
-    for name, switch in CONSTRUCT_PARAMS.items():
-        if switch:  # None when absent, so that only given parameters reach the spec
-            p.add_argument("--" + name.replace("_", "-"), action="store_true", default=None)
-        else:
-            p.add_argument("--" + name, type=int,
-                           required=all(name in row.needs for row in KINDS.values()))
-    p.add_argument("--out", required=True, help="subgraph file to write")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))
-    p.set_defaults(handler=_cmd_construct)
+    if p := add("construct", "emit a known construction as a subgraph file", _cmd_construct):
+        from .constructions import CONSTRUCT_PARAMS, KINDS
 
-    p = sub.add_parser("verify", help="exhaustively check a subgraph file for a forbidden pattern")
-    p.add_argument("--forbid", required=True, help="q<k> or c<m>")
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(handler=_cmd_verify)
+        p.add_argument("kind", choices=KINDS)
+        for name, switch in CONSTRUCT_PARAMS.items():
+            if switch:  # None when absent, so that only given parameters reach the spec
+                p.add_argument("--" + name.replace("_", "-"), action="store_true", default=None)
+            else:
+                p.add_argument("--" + name, type=int,
+                               required=all(name in row.needs for row in KINDS.values()))
+        p.add_argument("--out", required=True, help="subgraph file to write")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--threads", type=int, default=max(1, os.cpu_count() or 1))
 
-    p = sub.add_parser("search", help="exact optimum of the constrained pattern count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--forbid", required=True)
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-seconds", type=float)
-    p.add_argument("--method", choices=("auto", "exhaustive"), default="auto")
-    p.add_argument("--witness-out", help="write the extremal subgraph here")
-    common(p)
-    p.set_defaults(handler=_cmd_search)
+    if p := add("verify", "exhaustively check a subgraph file for a forbidden pattern",
+                _cmd_verify):
+        p.add_argument("--forbid", required=True, help="q<k> or c<m>")
+        p.add_argument("path")
+        common(p)
 
-    p = sub.add_parser("density", help="exact extremal density")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--forbid", required=True)
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-seconds", type=float)
-    common(p)
-    p.set_defaults(handler=_cmd_density)
+    if p := add("search", "exact optimum of the constrained pattern count", _cmd_search):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--forbid", required=True)
+        p.add_argument("--budget-nodes", type=int)
+        p.add_argument("--budget-seconds", type=float)
+        p.add_argument("--method", choices=("auto", "exhaustive"), default="auto")
+        p.add_argument("--witness-out", help="write the extremal subgraph here")
+        common(p)
 
-    p = sub.add_parser("bounds", help="evaluate a catalog bound (T1..T7, A6, A7)")
-    p.add_argument("--theorem", required=True)
-    p.add_argument("--side", choices=("lower", "upper", "both"), default="both")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--exact", help="measured density NUM/DEN for a sandwich report")
-    common(p)
-    z_cache(p)
-    p.set_defaults(handler=_cmd_bounds)
+    if p := add("density", "exact extremal density", _cmd_density):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--forbid", required=True)
+        p.add_argument("--budget-nodes", type=int)
+        p.add_argument("--budget-seconds", type=float)
+        common(p)
 
-    p = sub.add_parser("kpartite", help="search for a k-partite representation of an edge set")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("path")
-    common(p)
-    p.set_defaults(handler=_cmd_kpartite)
+    if p := add("bounds", "evaluate a catalog bound (T1..T7, A6, A7)", _cmd_bounds):
+        p.add_argument("--theorem", required=True)
+        p.add_argument("--side", choices=("lower", "upper", "both"), default="both")
+        p.add_argument("--n", type=int)
+        p.add_argument("--k", type=int)
+        p.add_argument("--l", type=int)
+        p.add_argument("--exact", help="measured density NUM/DEN for a sandwich report")
+        common(p)
+        z_cache(p)
+
+    if p := add("kpartite", "search for a k-partite representation of an edge set",
+                _cmd_kpartite):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("path")
+        common(p)
 
     return parser
 
@@ -314,7 +335,11 @@ def _emit_error(exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # -h and --version, the only options before the verb, take no value, so the
+    # verb is the first other token; with none, no verb's arguments are built
+    verb = next((token for token in argv if not token.startswith("-")), "")
+    args = build_parser(verb).parse_args(argv)
     # --out of construct is the subgraph file; its report goes to stdout
     out_path = None if args.verb == "construct" else args.out
     try:

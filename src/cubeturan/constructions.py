@@ -295,6 +295,9 @@ KINDS = {
     "even-odd": Kind(even_odd_layers, ("n", "j"), claim="c4"),
 }
 
+#: every parameter some construction reads, in KINDS order, and whether it is a switch
+CONSTRUCT_PARAMS = {name: name in row.flags for row in KINDS.values() for name in row.params}
+
 
 @dataclass(frozen=True)
 class ConstructionSpec:

@@ -1,4 +1,4 @@
-"""Exact counting: subcube copies, even cycles, the z-table, residue binomial sums.
+"""Exact counting: subcube copies, even cycles, residue binomial sums.
 
 All counts are exact arbitrary-precision ints; densities are exact Fractions.
 Closed-form counts refuse n > 4096 and enumerations are capped lower (see
@@ -9,18 +9,18 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._kernels import count_cycles_kernel, find_cycle_kernel
 from ._kernels._cycles_py import collect_cycles
-from ._version import __version__
 from .core import Subgraph, check_closed_form_dimension, iter_subcubes
 from .errors import BadLength, BadRange, EnumerationTooLarge
 from .patterns import CYCLE, EDGE, SUBCUBE, Pattern
-from .zwords import min_star_count, z_kl, z_positive
+from .zwords import ZTable, min_star_count, z_kl  # ZTable is re-exported here
+
+if TYPE_CHECKING:  # imported where it is used, as the fractions import costs start-up time
+    from fractions import Fraction
 
 #: cycle enumeration starts a DFS at each of the 2^n vertices, over 2^n-entry
 #: mask and in-path tables; beyond this n it is refused
@@ -44,80 +44,6 @@ def closed_count_c2l(n: int, ell: int, z=None) -> int:
         raise BadRange(f"need 2 <= l <= 2^(n-1), got n={n}, l={ell}")
     return sum(closed_count_qk(n, k) * (z_kl(k, ell) if z is None else z[k, ell])
                for k in range(min_star_count(ell), min(ell, n) + 1))
-
-
-class ZTable:
-    """Memoized zwords.z_kl values with optional text-file persistence.
-
-    File lines are `z <k> <l> <value>`; a `# cubeturan-ztable <version>`
-    header keys the cache to the tool version. A cache of another version, or
-    with a malformed line, a line whose key z never stores (see
-    zwords.z_positive) or a zero value, or bytes that are not UTF-8, is stale:
-    it is ignored and rewritten on the next save, which replaces the file
-    atomically. Zeros are never stored.
-    """
-
-    HEADER = "# cubeturan-ztable"
-
-    def __init__(self, path=None):
-        self.path = path
-        self._values: dict[tuple[int, int], int] = {}
-        if path is not None and os.path.exists(path):
-            self._load(path)
-
-    def _load(self, path) -> None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except UnicodeDecodeError:
-            return  # not even text: recompute rather than trust it
-        if not lines or lines[0].strip() != f"{self.HEADER} {__version__}":
-            return  # stale or foreign cache: recompute rather than trust it
-        values = {}
-        for line in lines[1:]:
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) != 4 or parts[0] != "z" or not "".join(parts[1:]).isdecimal():
-                return  # truncated or corrupt: recompute rather than trust any of it
-            try:
-                k, ell, value = map(int, parts[1:])
-            except ValueError:
-                return  # past int()'s 4300 digits: as corrupt as a malformed line
-            if not (z_positive(k, ell) and value > 0):
-                return  # a key z never stores: as corrupt as a malformed line
-            values[k, ell] = value
-        self._values = values
-
-    def save(self) -> None:
-        path = self.path
-        if path is None:
-            return
-        lines = [f"{self.HEADER} {__version__}"]
-        lines += [f"z {k} {ell} {v}" for (k, ell), v in sorted(self._values.items())]
-        try:
-            fd, tmp = tempfile.mkstemp(prefix=".ztable-", dir=os.path.dirname(os.path.abspath(path)))
-            try:
-                with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write("\n".join(lines) + "\n")
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError as exc:  # name the cache, not the temporary file beside it
-            raise type(exc)(exc.errno, exc.strerror, path) from exc
-
-    def get(self, k: int, ell: int) -> int:
-        if (k, ell) not in self._values and (value := z_kl(k, ell)):
-            self._values[k, ell] = value
-            self.save()
-        return self._values.get((k, ell), 0)
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        return self.get(*key)
-
-    def __contains__(self, key) -> bool:
-        return key in self._values
 
 
 @dataclass(frozen=True)
@@ -192,6 +118,8 @@ def count_cycles(g: Subgraph, length: int, threads: int = 1) -> int:
         return 0
     if threads <= 1:
         return count_cycles_kernel(g, length)
+    from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import, so only here
+
     parts = min(4 * threads, 1 << g.n)
     with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         return sum(pool.map(lambda i: count_cycles_kernel(g, length, i, parts), range(parts)))
@@ -285,6 +213,8 @@ def count_report(n: int, pattern: Pattern, g: Subgraph | None = None,
     Closed-form counting refuses n > MAX_CLOSED_FORM_N; only the subgraph path
     materializes per-edge state.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise BadRange(f"dimension must be positive, got {n}")
     ambient = ambient_count(n, pattern, z=z)

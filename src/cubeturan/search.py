@@ -82,7 +82,9 @@ def exact_extremal(n: int, target: Pattern, forbid: Pattern,
     """
     if target == forbid:
         raise BadRange("target and forbidden patterns must differ")
-    if n < 1 or n > SEARCH_MAX_N:
+    if n < 1:
+        raise BadRange(f"dimension must be positive, got {n}")
+    if n > SEARCH_MAX_N:
         raise DimensionTooLarge(f"exact search supports 1 <= n <= {SEARCH_MAX_N}, got {n}")
     if method not in ("auto", "exhaustive"):
         raise BadRange(f"unknown method {method!r}")
@@ -90,6 +92,9 @@ def exact_extremal(n: int, target: Pattern, forbid: Pattern,
         raise DimensionTooLarge(f"exhaustive scan supports n <= {EXHAUSTIVE_MAX_N}")
     if budget_seconds is not None and math.isnan(budget_seconds):
         raise BadRange("budget_seconds is NaN; pass inf for no time limit")
+    for name, budget in (("budget_nodes", budget_nodes), ("budget_seconds", budget_seconds)):
+        if budget is not None and budget < 0:  # 0 is a budget that stops at once
+            raise BadRange(f"{name} must be >= 0, got {budget}")
 
     edges, tmasks, fmasks = search_instance(n, target, forbid)
     ambient = len(tmasks)

@@ -15,15 +15,18 @@ all k positions iff w uses all k symbols, m_0..m_{2l-1} are pairwise distinct
 and m_{2l} = 0; a cycle is 4l such walks, so z_{k,l} = #words * 2^k / 4l.
 
 Every z value is z_kl's scaled count_canonical_words; z_ll_via_words is its
-diagonal. The listing iter_z_words is a separate DFS, an oracle for |Z(l)|.
+diagonal, and ZTable memoizes it with an optional cache file. The listing
+iter_z_words is a separate DFS, an oracle for |Z(l)|.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+import os
+from collections.abc import Iterator
 
 from ._kernels import count_words_kernel
+from ._version import __version__
 from .errors import BadRange, EnumerationTooLarge, NonIntegralResult
 
 #: the word count has no work budget; it recurses once per letter, 2l deep, and
@@ -135,3 +138,79 @@ def z_kl(k: int, ell: int) -> int:
 def z_ll_via_words(ell: int) -> int:
     """z_{l,l} = |Z(l)| * 2^l / 4l: the diagonal of z_kl, whose word count there is |Z(l)|."""
     return z_kl(ell, ell)
+
+
+class ZTable:
+    """Memoized z_kl values with optional text-file persistence.
+
+    File lines are `z <k> <l> <value>`; a `# cubeturan-ztable <version>`
+    header keys the cache to the tool version. A cache of another version, or
+    with a malformed line, a line whose key z never stores (see
+    z_positive) or a zero value, or bytes that are not UTF-8, is stale:
+    it is ignored and rewritten on the next save, which replaces the file
+    atomically. Zeros are never stored.
+    """
+
+    HEADER = "# cubeturan-ztable"
+
+    def __init__(self, path=None):
+        self.path = path
+        self._values: dict[tuple[int, int], int] = {}
+        if path is not None and os.path.exists(path):
+            self._load(path)
+
+    def _load(self, path) -> None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError:
+            return  # not even text: recompute rather than trust it
+        if not lines or lines[0].strip() != f"{self.HEADER} {__version__}":
+            return  # stale or foreign cache: recompute rather than trust it
+        values = {}
+        for line in lines[1:]:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 4 or parts[0] != "z" or not "".join(parts[1:]).isdecimal():
+                return  # truncated or corrupt: recompute rather than trust any of it
+            try:
+                k, ell, value = map(int, parts[1:])
+            except ValueError:
+                return  # past int()'s 4300 digits: as corrupt as a malformed line
+            if not (z_positive(k, ell) and value > 0):
+                return  # a key z never stores: as corrupt as a malformed line
+            values[k, ell] = value
+        self._values = values
+
+    def save(self) -> None:
+        path = self.path
+        if path is None:
+            return
+        lines = [f"{self.HEADER} {__version__}"]
+        lines += [f"z {k} {ell} {v}" for (k, ell), v in sorted(self._values.items())]
+        import tempfile
+
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=".ztable-", dir=os.path.dirname(os.path.abspath(path)))
+            try:
+                with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write("\n".join(lines) + "\n")
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:  # name the cache, not the temporary file beside it
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
+
+    def get(self, k: int, ell: int) -> int:
+        if (k, ell) not in self._values and (value := z_kl(k, ell)):
+            self._values[k, ell] = value
+            self.save()
+        return self._values.get((k, ell), 0)
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        return self.get(*key)
+
+    def __contains__(self, key) -> bool:
+        return key in self._values

@@ -342,6 +342,23 @@ def test_pattern_orders_that_are_not_ascii_digits_exit_2(pattern):
     assert json.loads(proc.stderr)["error"] == "BadRange"
 
 
+#: refused with exit 2 and BadRange, as every verb refuses n < 1: not a dimension
+#: cap (exit 4), and not a budget that stops the search at its root (exit 3)
+BAD_RANGE_ARGV = [
+    *((verb, "--n", n, "--target", "e", "--forbid", "c4")
+      for verb in ("search", "density") for n in ("0", "-1")),
+    ("search", "--n", "3", "--target", "e", "--forbid", "c4", "--budget-nodes", "-1"),
+    ("search", "--n", "3", "--target", "e", "--forbid", "c4", "--budget-seconds", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_RANGE_ARGV)
+def test_nonpositive_dimensions_and_negative_budgets_exit_2(argv):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == "BadRange"
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--theorem", "t4", "--l", "-1", "--k", "4"),
     ("bounds", "--theorem", "t4", "--l", "0", "--k", "0", "--n", "9"),  # there is no C_0
@@ -357,6 +374,7 @@ def test_pattern_orders_that_are_not_ascii_digits_exit_2(pattern):
     ("construct", "mod3-select", "--l", "4", "--out", os.devnull, "--n", str(MAX_WHOLE_CUBE_N + 1)),
     ("zl", "--l", "5", "--z-cache", "/nonexistent/d/z.cache"),  # no directory to write it in
     ("count", "--n", "3", "--pattern", "c4", "--out", "/nonexistent/d/r.json"),  # nor the report
+    *BAD_RANGE_ARGV,
 ])
 def test_hostile_inputs_fail_with_a_structured_error(argv, tmp_path):
     if argv[-1].startswith("cube v1"):  # a file holding just this header

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -109,13 +110,13 @@ def test_count_cycles_threads_do_not_change_totals():
 def test_count_cycles_starts_at_most_cpu_count_threads(monkeypatch):
     started = []
 
-    class Spy(counting.ThreadPoolExecutor):
+    class Spy(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(counting, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
     assert count_cycles(full_cube(3), 4, threads=64) == 6
     assert started == [2]
 
@@ -125,13 +126,13 @@ def test_count_cycles_submits_at_most_one_class_per_start_vertex(monkeypatch):
     # grow with `threads` past the 2^n start vertices
     submitted = []
 
-    class Spy(counting.ThreadPoolExecutor):
+    class Spy(concurrent.futures.ThreadPoolExecutor):
         def submit(self, fn, *args, **kwargs):
             submitted.append(args)
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(counting, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Spy)
     assert count_cycles(full_cube(3), 4, threads=10**9) == 6
     assert len(submitted) == 8
 

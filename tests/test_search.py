@@ -80,6 +80,9 @@ def test_c4_extremal_witness_structure():
 def test_validation():
     with pytest.raises(BadRange):
         exact_extremal(3, parse_pattern("e"), parse_pattern("e"))
+    for n in (0, -1):  # refused as every verb refuses n < 1, not as too large
+        with pytest.raises(BadRange, match="dimension must be positive"):
+            exact_extremal(n, parse_pattern("e"), parse_pattern("c4"))
     with pytest.raises(DimensionTooLarge):
         exact_extremal(5, parse_pattern("e"), parse_pattern("c4"))
     with pytest.raises(DimensionTooLarge):
@@ -93,6 +96,20 @@ def test_nan_time_budget_is_refused_and_inf_is_no_limit():
     with pytest.raises(BadRange):
         exact_extremal(4, parse_pattern("e"), parse_pattern("c6"), budget_seconds=math.nan)
     assert exact_extremal(3, parse_pattern("e"), parse_pattern("c4"), budget_seconds=math.inf).value == 9
+
+
+@pytest.mark.parametrize("budget", [{"budget_nodes": -1}, {"budget_seconds": -1.0},
+                                    {"budget_seconds": -math.inf}])
+def test_negative_budgets_are_refused(budget):
+    # an input error, not a budget that stops at the root with the trivial bounds
+    with pytest.raises(BadRange, match="must be >= 0"):
+        exact_extremal(3, parse_pattern("e"), parse_pattern("c4"), **budget)
+
+
+def test_zero_budgets_stop_at_once():
+    for budget in ({"budget_nodes": 0}, {"budget_seconds": 0.0}):
+        with pytest.raises(BudgetExceeded):
+            exact_extremal(4, parse_pattern("c8"), parse_pattern("c4"), **budget)
 
 
 def test_budget_exceeded_carries_sane_bounds():

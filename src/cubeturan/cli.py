@@ -222,7 +222,8 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--threads", type=int,
                        default=max(1, os.cpu_count() or 1),
-                       help="worker threads (results are thread-count independent)")
+                       help="worker threads, used only by the DFS counts of c8 and longer "
+                            "(results are thread-count independent)")
 
     def z_cache(p):  # only the verbs that read z values
         p.add_argument("--z-cache", default=os.environ.get(ZCACHE_ENV),

@@ -11,6 +11,13 @@ Conventions (used everywhere in the package):
   S, base b), b having no bit in S; it is in the subgraph iff
   ``masks[b | s] & S == S`` for every s within S, and an edge is the pair of
   its endpoints;
+* up to MAX_WHOLE_CUBE_N the scans read the masks' transpose, derived per
+  scan by ``direction_bitsets``: E_p, a 2^n-bit int whose bit v is set iff the
+  edge {v, v | 2^p} is present with v's bit p clear. ``template_hits`` ANDs
+  shifted E_p over a list of (direction, offset) edges at every base at once,
+  for each star position set in colex order; Q_k, C_4 and C_6 are such lists,
+  and ``iter_subcubes`` reads a set's Q_k bases from its set bits. Above the
+  cap a subgraph is sparse, and ``iter_subcubes`` tests each vertex;
 * star strings such as ``01*10`` (the edge joining 01010 and 01110) appear
   only at the boundary: files, ``Subgraph(n, edges)``,
   ``Subgraph.sorted_edges()`` and witnesses. ``parse_cells`` is their one
@@ -259,11 +266,93 @@ def subgraph_where(n: int, keep: Callable[[int, int], bool], name: str | None = 
     return Subgraph(n, name=name, masks=masks)
 
 
+def _colex(positions: Sequence[int], k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of `positions` in colex order: by highest position, then the next."""
+    return sorted(itertools.combinations(positions, k), key=lambda c: c[::-1])
+
+
+def direction_bitsets(g: Subgraph) -> list[int]:
+    """E_p for each position p: the 2^n-bit int whose bit v is set iff the edge
+    {v, v | 2^p} is in g and v has bit p clear. A byte plane holds eight
+    directions of each vertex's upward mask (masks[v] & ~v), and each E_p is read
+    from it by one translate to '0'/'1' text, so the extra memory stays near 2^n
+    bytes."""
+    top = (1 << g.n) - 1
+    bitsets = []
+    for first in range(0, g.n, 8):
+        plane = bytearray(top + 1)  # byte top - v, so that vertex 0 is the last digit
+        for v, m in g.masks.items():
+            plane[top - v] = (m & ~v) >> first & 255
+        for p in range(first, min(first + 8, g.n)):
+            digits = bytes(49 if c >> (p - first) & 1 else 48 for c in range(256))
+            bitsets.append(int(plane.translate(digits), 2))
+    return bitsets
+
+
+def subcube_template(k: int) -> list[tuple[int, int]]:
+    """The k*2^(k-1) edges of Q_k as (direction, offset) pairs over the local
+    positions 0..k-1: the edge from vertex `offset` along `direction`."""
+    return [(j, t) for t in range(1 << k) for j in range(k) if not t >> j & 1]
+
+
+def template_hits(g: Subgraph, k: int,
+                  templates: Sequence[Sequence[tuple[int, int]]]) -> Iterator[tuple[int, int]]:
+    """(star mask S, hits) for every k-position set S in colex order and every
+    template in turn whose hits are nonzero: bit b of hits is set iff b has no
+    bit in S and the template, moved onto S and translated to base b, has all
+    its edges in g.
+
+    A template is a list of edges (j, t) over local positions, each the edge
+    along the j-th lowest position p of S from the vertex o = offsets[t] =
+    `subcube_vertices(S, 0)[t]`, and it must use all k directions. Its hits are
+    the AND over its edges of E_p >> o, and they need no mask to the bases:
+    - a base b with no bit in S: o lies within S, so b + o = b | o carries into
+      no bit, and bit b of E_p >> o is bit b | o of E_p, the template's edge at
+      b (p is in S, so b | o has bit p clear);
+    - a base b with a bit in S names no subcube, and b + o may carry into a
+      higher position. Let q be the lowest position of S that b sets. Below q,
+      o (within S) and b share no bit, so nothing carries into q, and for an
+      edge along q, o has no bit q either: b + o has bit q set, and E_q holds
+      lower endpoints only, so that edge's term clears bit b. The template
+      uses direction q, so bit b of the AND is clear.
+    As every template uses all k directions, a position set holding an
+    edgeless direction is skipped.
+    """
+    check_dimension(g.n, MAX_WHOLE_CUBE_N)
+    bitsets = direction_bitsets(g)
+    everything = (1 << (1 << g.n)) - 1
+    for pos in _colex([p for p in range(g.n) if bitsets[p]], k):
+        stars = sum(1 << p for p in pos)
+        offsets = subcube_vertices(stars, 0)
+        shifted: dict[tuple[int, int], int] = {}
+        for template in templates:
+            hits = everything
+            for edge in template:
+                if edge not in shifted:
+                    j, t = edge
+                    shifted[edge] = bitsets[pos[j]] >> offsets[t]
+                hits &= shifted[edge]
+                if not hits:
+                    break
+            else:
+                yield stars, hits
+
+
 def iter_subcubes(g: Subgraph, k: int) -> Iterator[tuple[int, int]]:
     """(star mask, base) of every Q_k in g: star position sets in colex order,
-    then bases ascending, which is the order of ascending fills."""
+    then bases ascending, which is the order of ascending fills. Up to
+    MAX_WHOLE_CUBE_N the bases are the set bits of `template_hits`, read in one
+    pass per position set; above it g is sparse, and each vertex is tested."""
+    if g.n <= MAX_WHOLE_CUBE_N:
+        for stars, hits in template_hits(g, k, [subcube_template(k)]):
+            bits = bin(hits)[:1:-1]  # bits[b] is bit b
+            b = bits.find("1")
+            while b >= 0:
+                yield stars, b
+                b = bits.find("1", b + 1)
+        return
     vertices = sorted(g.masks.items())
-    for pos in sorted(itertools.combinations(range(g.n), k), key=lambda c: c[::-1]):
+    for pos in _colex(range(g.n), k):
         stars = sum(1 << p for p in pos)
         subs = subcube_vertices(stars, 0)[1:]
         for b, m in vertices:

@@ -7,6 +7,7 @@ CYCLE_ENUM_MAX_N and the MAX_CLOSED_FORM_N and MAX_MATERIALIZED_N caps in core).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -14,7 +15,15 @@ from typing import TYPE_CHECKING
 
 from ._kernels import count_cycles_kernel, find_cycle_kernel
 from ._kernels._cycles_py import collect_cycles
-from .core import Subgraph, check_closed_form_dimension, iter_subcubes
+from .core import (
+    MAX_WHOLE_CUBE_N,
+    Subgraph,
+    check_closed_form_dimension,
+    full_cube,
+    iter_subcubes,
+    subcube_template,
+    template_hits,
+)
 from .errors import BadLength, BadRange, EnumerationTooLarge
 from .patterns import CYCLE, EDGE, SUBCUBE, Pattern
 from .zwords import ZTable, min_star_count, z_kl  # ZTable is re-exported here
@@ -22,8 +31,10 @@ from .zwords import ZTable, min_star_count, z_kl  # ZTable is re-exported here
 if TYPE_CHECKING:  # imported where it is used, as the fractions import costs start-up time
     from fractions import Fraction
 
-#: cycle enumeration starts a DFS at each of the 2^n vertices, over 2^n-entry
-#: mask and in-path tables; beyond this n it is refused
+#: cycle counts refuse n above this: the DFS (C_8 and longer, and every
+#: `verify --forbid c...`) starts at each of the 2^n vertices over 2^n-entry mask
+#: and in-path tables, and the bit-parallel C_4 and C_6 counts keep the same cap
+#: until the long kernels get a work budget
 CYCLE_ENUM_MAX_N = 12
 
 
@@ -154,7 +165,21 @@ def count_copies_qk(g: Subgraph, ell: int) -> int:
         raise BadRange(f"need 0 <= l <= n, got l={ell}, n={g.n}")
     if ell == 0:
         return 1 << g.n  # every vertex, vacuously
-    return sum(1 for _ in iter_subcubes(g, ell))
+    if g.n > MAX_WHOLE_CUBE_N:
+        return sum(1 for _ in iter_subcubes(g, ell))
+    return sum(hits.bit_count() for _, hits in template_hits(g, ell, [subcube_template(ell)]))
+
+
+@functools.cache
+def short_cycle_templates(length: int) -> list[list[tuple[int, int]]]:
+    """The cycles on `length` = 2l vertices of Q_l, for length 4 or 6, as
+    `template_hits` templates: z_{2,2} = 1 and z_{3,3} = 16 of them. A C_2l flips
+    each direction it uses an even number of times, so it spans at most l
+    directions, and for l <= 3 exactly l, as a Q_{l-1} has fewer than 2l
+    vertices. So every C_4 or C_6 of g lies in exactly one Q_l, and counting each
+    template at each Q_l counts every cycle once."""
+    return [[((u ^ v).bit_length() - 1, u) for u, v in w.edge_pairs()]
+            for w in enumerate_cycle_witnesses(full_cube(length // 2), length)]
 
 
 def binomial_residue_sum(m: int, r: int, a: int) -> int:
@@ -176,14 +201,20 @@ def ambient_count(n: int, pattern: Pattern, z=None) -> int:
 
 
 def count_in_subgraph(g: Subgraph, pattern: Pattern, threads: int = 1) -> int:
-    """N(g, pattern) by enumeration."""
+    """N(g, pattern) by enumeration: C_4 and C_6 by the bit-parallel scan, longer
+    cycles by the DFS, which alone reads `threads`."""
     if pattern.kind == EDGE:
         return g.edge_count
     if pattern.kind == SUBCUBE:
         if pattern.order > g.n:
             return 0
         return count_copies_qk(g, pattern.order)
-    return count_cycles(g, pattern.order, threads=threads)
+    if pattern.order > 6:
+        return count_cycles(g, pattern.order, threads=threads)
+    if not _cycle_fits(g, pattern.order):
+        return 0
+    return sum(hits.bit_count() for _, hits in
+               template_hits(g, pattern.order // 2, short_cycle_templates(pattern.order)))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ def test_zl_loads_no_graph_code_and_no_heavy_stdlib():
 def test_count_starts_the_thread_pool_only_with_threads(tmp_path, threads, pool):
     path = tmp_path / "q3.cube"
     save_subgraph(full_cube(3), str(path))
-    argv = ["count", "--n", "3", "--pattern", "c4", "--input", str(path), "--threads", str(threads)]
+    # c8: only the DFS counts, of cycles longer than C_6, run on threads
+    argv = ["count", "--n", "3", "--pattern", "c8", "--input", str(path), "--threads", str(threads)]
     loaded = loaded_by(f"from cubeturan import cli\nassert cli.main({argv!r}) == 0")
     assert "cubeturan.counting" in loaded
     assert ("concurrent.futures" in loaded) == pool

@@ -8,47 +8,31 @@ of density bounds.  All arithmetic is exact (ints and Fractions).
 
 from ._version import __version__
 
-__all__ = [
-    "__version__",
-    "backend_name",
-    "StarVector",
-    "Subgraph",
-    "apply_automorphism",
-    "edge_endpoints",
-    "edge_layer",
-    "expand_edges",
-    "expand_vertices",
-    "full_cube",
-    "load_subgraph",
-    "parse_star_vector",
-    "save_subgraph",
-    "CountReport",
-    "CycleWitness",
-    "ZTable",
-    "binomial_residue_sum",
-    "closed_count_c2l",
-    "closed_count_qk",
-    "count_copies_qk",
-    "count_cycles",
-    "count_report",
-    "z_kl",
-    "Pattern",
-    "parse_pattern",
-    "count_z_words",
-    "enumerate_z_words",
-    "z_ll_via_words",
-]
+#: each exported name, by the module it lives in
+_EXPORTS = {
+    "_kernels": ("backend_name",),
+    "core": ("StarVector", "Subgraph", "apply_automorphism", "edge_endpoints", "edge_layer",
+             "expand_edges", "expand_vertices", "full_cube", "load_subgraph",
+             "parse_star_vector", "save_subgraph"),
+    "counting": ("CountReport", "CycleWitness", "binomial_residue_sum", "closed_count_c2l",
+                 "closed_count_qk", "count_copies_qk", "count_cycles", "count_report"),
+    "patterns": ("Pattern", "parse_pattern"),
+    "zwords": ("ZTable", "z_kl", "count_z_words", "enumerate_z_words", "z_ll_via_words"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
 
 
 def _export(name: str):
-    """An exported object, imported on first access (PEP 562), so that a bare
-    `import cubeturan`, which every `python -m cubeturan` runs, loads no module
-    its command does not use."""
-    if name not in __all__:
+    """An exported object, imported with its home module alone on first access
+    (PEP 562), so that a bare `import cubeturan`, which every `python -m
+    cubeturan` runs, loads no module its command does not use."""
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import _exports
+    from importlib import import_module
 
-    value = globals()[name] = getattr(_exports, name)
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     return value
 
 

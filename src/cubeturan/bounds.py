@@ -8,7 +8,10 @@ factor is dropped (never replaced by an invented finite-n correction).
 Unspecified constants (alpha, c_k) stay symbolic: the value is then absent
 and the symbols are listed as unresolved.
 
-Catalog entries (identifiers are stable CLI strings):
+The catalog is one table, CATALOG, with a row per theorem: the parameters it
+needs, the ranges it holds on and its lower and upper sides, each an
+expression with its value function.  `eval_bound` is the one function that
+reads a row.  Row identifiers are stable CLI strings:
 
   T1  subcubes Q_l kept, Q_k forbidden (2 <= l < k)
   T2  4-cycles kept, 6-cycles forbidden
@@ -26,18 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .core import MAX_CLOSED_FORM_N
+from .core import MAX_CLOSED_FORM_N, fraction_json
 from .errors import BadRange, BadTheoremId, DimensionTooLarge, MissingParam
 from .zwords import min_star_count, z_kl
 
 LOWER = "lower"
 UPPER = "upper"
-
-THEOREM_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "A6", "A7")
-
-#: the theorems that define a lower side only
-LOWER_ONLY = ("A6", "A7")
 
 
 @dataclass(frozen=True)
@@ -56,27 +55,10 @@ class BoundValue:
             "side": self.side,
             "params": {k: v for k, v in sorted(self.params.items())},
             "expression": self.expression,
-            "value": None if self.value is None else {
-                "num": str(self.value.numerator),
-                "den": str(self.value.denominator),
-            },
+            "value": None if self.value is None else fraction_json(self.value),
             "asymptotic": self.asymptotic,
             "unresolved": list(self.unresolved),
         }
-
-
-def _need(params: dict, *names: str) -> list[int]:
-    out = []
-    for name in names:
-        if name not in params or params[name] is None:
-            raise MissingParam(f"parameter {name!r} is required here")
-        out.append(params[name])
-    return out
-
-
-def _zll(z, ell: int) -> int:
-    """z_{l,l}: read from `z` (a ZTable or any mapping holding the key), else counted."""
-    return z_kl(ell, ell) if z is None else z[ell, ell]
 
 
 def t1_lower_branches(ell: int, k: int) -> tuple[Fraction, Fraction]:
@@ -87,135 +69,161 @@ def t1_lower_branches(ell: int, k: int) -> tuple[Fraction, Fraction]:
     )
 
 
+@dataclass(frozen=True)
+class Side:
+    """One side of a bound: its expression and its value as a function of the
+    parameters (l passed as `ell`, and z_{l,l} as `z_ll` when it `reads_z`), or
+    None when symbolic in `unresolved`.  `needs` and `ranges` add to the row's."""
+
+    expression: str
+    value: Callable[..., Fraction] | None
+    asymptotic: bool = True
+    unresolved: tuple[str, ...] = ()
+    needs: tuple[str, ...] = ()
+    ranges: tuple[tuple[str, Callable[..., bool]], ...] = ()
+    reads_z: bool = False
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One catalog row: the parameters it needs, the ranges it holds on as
+    (condition, test) pairs checked in order, and its sides, `upper` None where
+    it bounds from below only.  Where `zero` holds the density is exactly 0 on
+    both sides, whatever the ranges say."""
+
+    needs: tuple[str, ...]
+    ranges: tuple[tuple[str, Callable[..., bool]], ...]
+    lower: Side
+    upper: Side | None = None
+    zero: Callable[..., bool] | None = None
+
+    @property
+    def sides(self) -> tuple[str, ...]:
+        return (LOWER,) if self.upper is None else (LOWER, UPPER)
+
+
+def _decimal(text: str) -> Side:
+    """An asymptotic side that is a constant: the exact rational of its decimal."""
+    return Side(text, lambda **_: Fraction(text))
+
+
+CATALOG = {
+    "T1": Theorem(
+        ("l", "k"), (("2 <= l < k", lambda ell, k: 2 <= ell < k),),
+        lower=Side("max(1 - l/k, 1 - 4*C(l+2,3)/(k*(k+2)))",
+                   lambda ell, k: max(t1_lower_branches(ell, k))),
+        upper=Side("min(1 - l*2^l/(k*2^k), 1 - alpha*log(k)/(k*2^k))", None,
+                   unresolved=("alpha",))),
+    "T2": Theorem(
+        ("n",), (("n >= 1", lambda n: n >= 1),),
+        lower=Side("1/(4*n)", lambda n: Fraction(1, 4 * n)),
+        upper=Side("0.36578/n", lambda n: Fraction("0.36578") / n)),
+    "T3": Theorem(
+        ("l",), (("l >= 4", lambda ell: ell >= 4),),
+        lower=Side("1/(4^(l+1) * z_ll)", lambda ell, z_ll: Fraction(1, 4 ** (ell + 1) * z_ll),
+                   reads_z=True),
+        upper=_decimal("0.36577")),
+    "T4": Theorem(
+        ("l", "k"),
+        (("k >= 4 and k != 5", lambda ell, k: k >= 4 and k != 5),
+         ("l >= 2", lambda ell, k: ell >= 2)),
+        lower=Side("C(m,l)/C(n,l) with m = ceil(log2(2k))-1",
+                   lambda ell, k, n: Fraction(math.comb(min_star_count(k) - 1, ell),
+                                              math.comb(n, ell)),
+                   asymptotic=False, needs=("n",),
+                   ranges=(("l <= n and l <= ceil(log2(2k))-1",
+                            lambda ell, k, n: ell <= min(min_star_count(k) - 1, n)),)),
+        upper=Side("c_k * n^(-1/16)", None, asymptotic=False, unresolved=("c_k",)),
+        # a subcube of dimension l >= log2(2k) contains the forbidden cycle
+        # (k <= 0 is refused by the ranges)
+        zero=lambda ell, k: k > 0 and min_star_count(k) <= ell),
+    "T5": Theorem(
+        ("l", "k"), (("k >= 2 and l >= 2", lambda ell, k: k >= 2 and ell >= 2),),
+        lower=Side("max((1 - 1/k)*(l-1)!/(2*z_ll), 1 - l/k)",
+                   lambda ell, k, z_ll: max(
+                       (1 - Fraction(1, k)) * Fraction(math.factorial(ell - 1), 2 * z_ll),
+                       1 - Fraction(ell, k)),
+                   reads_z=True),
+        upper=Side("1 - alpha*log(k)/(k*2^k)", None, unresolved=("alpha",))),
+    "T6": Theorem((), (), lower=_decimal("0.03125"), upper=_decimal("0.1625")),
+    "T7": Theorem(
+        ("l", "k"),
+        (("k >= 4 and k != 5 and l >= 2 and l != k",
+          lambda ell, k: k >= 4 and k != 5 and ell >= 2 and ell != k),),
+        lower=Side("2^(l - ceil(log2(2l))) / (C(n,l) * z_ll)",
+                   lambda ell, k, n, z_ll: Fraction(1 << (ell - min_star_count(ell)),
+                                                    math.comb(n, ell) * z_ll),
+                   needs=("n",), ranges=(("n >= l", lambda ell, k, n: n >= ell),),
+                   reads_z=True),
+        upper=Side("c_k * n^(-1/16)", None, asymptotic=False, unresolved=("c_k",))),
+    # below k^2 - 2k = 4*C(l+2,3) the value is negative, and says nothing
+    "A6": Theorem(
+        ("l", "k"),
+        (("2 <= l < k", lambda ell, k: 2 <= ell < k),
+         ("k^2 - 2k >= 4*C(l+2,3)", lambda ell, k: k * k - 2 * k >= 4 * math.comb(ell + 2, 3))),
+        lower=Side("1 - 4*C(l+2,3)/(k^2 - 2k)",
+                   lambda ell, k: 1 - Fraction(4 * math.comb(ell + 2, 3), k * k - 2 * k))),
+    # the T3 lower bound improved by (4/3)^(l+1)
+    "A7": Theorem(
+        ("l",), (("l >= 4", lambda ell: ell >= 4),),
+        lower=Side("1/(3^(l+1) * z_ll)", lambda ell, z_ll: Fraction(1, 3 ** (ell + 1) * z_ll),
+                   reads_z=True)),
+}
+
+
+def catalog_row(theorem: str) -> tuple[str, Theorem]:
+    """The identifier of `theorem` (any case) and its CATALOG row."""
+    tid = theorem.upper()
+    if tid not in CATALOG:
+        raise BadTheoremId(f"unknown bound identifier {theorem!r}")
+    return tid, CATALOG[tid]
+
+
+def _call(fn: Callable, args: dict):
+    """fn of the parameters in `args`, l passed as `ell`."""
+    return fn(**{"ell" if name == "l" else name: value for name, value in args.items()})
+
+
+def _admit(tid: str, params: dict, args: dict, names: tuple = (), ranges: tuple = ()) -> None:
+    """Read the parameters `names` into `args`, refusing an absent one, then test `ranges`."""
+    for name in names:
+        if params.get(name) is None:
+            raise MissingParam(f"parameter {name!r} is required here")
+        args[name] = params[name]
+    for condition, holds in ranges:
+        if not _call(holds, args):
+            got = ", ".join(f"{name}={value}" for name, value in args.items())
+            raise BadRange(f"{tid} needs {condition}, got {got}")
+
+
 def eval_bound(theorem: str, side: str, params: dict | None = None, z=None) -> BoundValue:
-    """Evaluate one side of a catalog bound at concrete parameters.
+    """Evaluate one side of a catalog bound at concrete parameters; z_{l,l} is
+    read from `z` (a ZTable or any mapping holding the key), else counted.
 
     An n or k above core.MAX_CLOSED_FORM_N is refused, whether or not the bound
     reads it; every bound that computes with l bounds it by k, z or log2(2k)."""
-    tid = theorem.upper()
-    if tid not in THEOREM_IDS:
-        raise BadTheoremId(f"unknown bound identifier {theorem!r}")
+    tid, row = catalog_row(theorem)
     if side not in (LOWER, UPPER):
         raise BadRange(f"side must be lower or upper, got {side!r}")
-    if side == UPPER and tid in LOWER_ONLY:
+    if side not in row.sides:
         raise BadTheoremId(f"{tid} defines a lower bound only")
+    bound = getattr(row, side)
     params = dict(params or {})
     for name in ("n", "k"):
         if params.get(name) is not None and params[name] > MAX_CLOSED_FORM_N:
             raise DimensionTooLarge(
                 f"{name}={params[name]} exceeds the closed-form cap {MAX_CLOSED_FORM_N}")
-
-    if tid == "T1":
-        ell, k = _need(params, "l", "k")
-        if not 2 <= ell < k:
-            raise BadRange(f"T1 needs 2 <= l < k, got l={ell}, k={k}")
-        if side == LOWER:
-            val = max(t1_lower_branches(ell, k))
-            return BoundValue(tid, side, params,
-                              "max(1 - l/k, 1 - 4*C(l+2,3)/(k*(k+2)))",
-                              val, asymptotic=True)
-        return BoundValue(tid, side, params,
-                          "min(1 - l*2^l/(k*2^k), 1 - alpha*log(k)/(k*2^k))",
-                          None, asymptotic=True, unresolved=("alpha",))
-
-    if tid == "T2":
-        (n,) = _need(params, "n")
-        if n < 1:
-            raise BadRange(f"T2 needs n >= 1, got {n}")
-        if side == LOWER:
-            return BoundValue(tid, side, params, "1/(4*n)",
-                              Fraction(1, 4 * n), asymptotic=True)
-        return BoundValue(tid, side, params, "0.36578/n",
-                          Fraction("0.36578") / n, asymptotic=True)
-
-    if tid == "T3":
-        (ell,) = _need(params, "l")
-        if ell < 4:
-            raise BadRange(f"T3 needs l >= 4, got {ell}")
-        if side == LOWER:
-            zll = _zll(z, ell)
-            return BoundValue(tid, side, params, "1/(4^(l+1) * z_ll)",
-                              Fraction(1, 4 ** (ell + 1) * zll), asymptotic=True)
-        return BoundValue(tid, side, params, "0.36577",
-                          Fraction("0.36577"), asymptotic=True)
-
-    if tid == "T4":
-        ell, k = _need(params, "l", "k")
-        if k > 0 and min_star_count(k) <= ell:
-            # a subcube of dimension l >= log2(2k) contains the forbidden cycle,
-            # so the density is exactly zero on both sides (k <= 0 is refused below)
-            return BoundValue(tid, side, params, "0", Fraction(0), asymptotic=False)
-        if k < 4 or k == 5:
-            raise BadRange(f"T4 needs k >= 4 and k != 5, got {k}")
-        if ell < 2:
-            raise BadRange(f"T4 needs l >= 2, got {ell}")
-        if side == LOWER:
-            (n,) = _need(params, "n")
-            m = min_star_count(k) - 1  # ceil(log2(2k)) - 1
-            if not ell <= min(m, n):
-                raise BadRange(f"T4 lower needs l <= n and l <= ceil(log2(2k))-1 = {m}, "
-                               f"got n={n}, l={ell}")
-            return BoundValue(tid, side, params, "C(m,l)/C(n,l) with m = ceil(log2(2k))-1",
-                              Fraction(math.comb(m, ell), math.comb(n, ell)),
-                              asymptotic=False)
-        return BoundValue(tid, side, params, "c_k * n^(-1/16)",
-                          None, asymptotic=False, unresolved=("c_k",))
-
-    if tid == "T5":
-        ell, k = _need(params, "l", "k")
-        if k < 2 or ell < 2:
-            raise BadRange(f"T5 needs k >= 2 and l >= 2, got k={k}, l={ell}")
-        if side == LOWER:
-            zll = _zll(z, ell)
-            val = max(
-                (1 - Fraction(1, k)) * Fraction(math.factorial(ell - 1), 2 * zll),
-                1 - Fraction(ell, k),
-            )
-            return BoundValue(tid, side, params,
-                              "max((1 - 1/k)*(l-1)!/(2*z_ll), 1 - l/k)",
-                              val, asymptotic=True)
-        return BoundValue(tid, side, params, "1 - alpha*log(k)/(k*2^k)",
-                          None, asymptotic=True, unresolved=("alpha",))
-
-    if tid == "T6":
-        if side == LOWER:
-            return BoundValue(tid, side, params, "0.03125",
-                              Fraction("0.03125"), asymptotic=True)
-        return BoundValue(tid, side, params, "0.1625",
-                          Fraction("0.1625"), asymptotic=True)
-
-    if tid == "T7":
-        ell, k = _need(params, "l", "k")
-        if k < 4 or k == 5 or ell < 2 or ell == k:
-            raise BadRange(f"T7 needs k >= 4, k != 5, l >= 2, l != k, got l={ell}, k={k}")
-        if side == LOWER:
-            (n,) = _need(params, "n")
-            if n < ell:
-                raise BadRange(f"T7 lower needs n >= l, got n={n}, l={ell}")
-            zll = _zll(z, ell)
-            val = Fraction(1 << (ell - min_star_count(ell)),
-                           math.comb(n, ell) * zll)
-            return BoundValue(tid, side, params,
-                              "2^(l - ceil(log2(2l))) / (C(n,l) * z_ll)",
-                              val, asymptotic=True)
-        return BoundValue(tid, side, params, "c_k * n^(-1/16)",
-                          None, asymptotic=False, unresolved=("c_k",))
-
-    if tid == "A6":
-        ell, k = _need(params, "l", "k")
-        if not 2 <= ell < k or k * k - 2 * k <= 0:
-            raise BadRange(f"A6 needs 2 <= l < k and k >= 3, got l={ell}, k={k}")
-        return BoundValue(tid, side, params, "1 - 4*C(l+2,3)/(k^2 - 2k)",
-                          1 - Fraction(4 * math.comb(ell + 2, 3), k * k - 2 * k),
-                          asymptotic=True)
-
-    # A7: the T3 lower bound improved by (4/3)^(l+1)
-    (ell,) = _need(params, "l")
-    if ell < 4:
-        raise BadRange(f"A7 needs l >= 4, got {ell}")
-    zll = _zll(z, ell)
-    return BoundValue(tid, LOWER, params, "1/(3^(l+1) * z_ll)",
-                      Fraction(1, 3 ** (ell + 1) * zll), asymptotic=True)
+    args: dict = {}
+    _admit(tid, params, args, row.needs)
+    if row.zero is not None and _call(row.zero, args):
+        return BoundValue(tid, side, params, "0", Fraction(0), asymptotic=False)
+    _admit(tid, params, args, ranges=row.ranges)
+    _admit(tid, params, args, bound.needs, bound.ranges)
+    if bound.reads_z:  # before the value, so that z refuses an l too large for 4^(l+1) or (l-1)!
+        args["z_ll"] = z_kl(args["l"], args["l"]) if z is None else z[args["l"], args["l"]]
+    value = None if bound.value is None else _call(bound.value, args)
+    return BoundValue(tid, side, params, bound.expression, value, bound.asymptotic,
+                      bound.unresolved)
 
 
 def bound_sandwich_report(theorem: str, params: dict | None = None, z=None,
@@ -225,14 +233,15 @@ def bound_sandwich_report(theorem: str, params: dict | None = None, z=None,
     Asymptotic sides are advisory: a finite-n violation is reported but not
     an error.  Symbolic sides are listed as such.
     """
-    report: dict = {"theorem": theorem.upper(), "params": dict(params or {}),
+    tid, row = catalog_row(theorem)
+    report: dict = {"theorem": tid, "params": dict(params or {}),
                     "comparisons": [], "notes": []}
     for side in (LOWER, UPPER):
-        if side == UPPER and theorem.upper() in LOWER_ONLY:
+        if side not in row.sides:
             report[side] = None
             report["notes"].append(f"no {side} bound defined")
             continue
-        bv = eval_bound(theorem, side, params, z=z)
+        bv = eval_bound(tid, side, params, z=z)
         report[side] = bv.to_json_dict()
         if bv.value is None:
             report["notes"].append(f"{side} bound symbolic ({', '.join(bv.unresolved)})")
@@ -249,5 +258,5 @@ def bound_sandwich_report(theorem: str, params: dict | None = None, z=None,
             entry["note"] = "asymptotic bound; advisory only at finite n"
         report["comparisons"].append(entry)
     if exact is not None:
-        report["exact"] = {"num": str(exact.numerator), "den": str(exact.denominator)}
+        report["exact"] = fraction_json(exact)
     return report

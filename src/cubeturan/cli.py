@@ -35,8 +35,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_LIMIT = 4
 
-ZCACHE_ENV = "CUBETURAN_ZCACHE"
-
 
 # ---------------------------------------------------------------------------
 # verb handlers: each returns (exit_code, payload, summary)
@@ -161,7 +159,7 @@ def _parse_exact(text: str):
 
 
 def _cmd_bounds(args):
-    from .bounds import LOWER, LOWER_ONLY, UPPER, bound_sandwich_report, eval_bound
+    from .bounds import bound_sandwich_report, catalog_row, eval_bound
 
     params = {name: getattr(args, name) for name in ("n", "k", "l")
               if getattr(args, name) is not None}
@@ -173,9 +171,9 @@ def _cmd_bounds(args):
     summary = f"{args.theorem.upper()} evaluated"
     if args.side != "both":
         return EXIT_OK, eval_bound(args.theorem, args.side, params, z=z).to_json_dict(), summary
-    sides = (LOWER,) if args.theorem.upper() in LOWER_ONLY else (LOWER, UPPER)
-    bounds = [eval_bound(args.theorem, side, params, z=z).to_json_dict() for side in sides]
-    return EXIT_OK, {"theorem": args.theorem.upper(), "bounds": bounds}, summary
+    tid, row = catalog_row(args.theorem)
+    bounds = [eval_bound(tid, side, params, z=z).to_json_dict() for side in row.sides]
+    return EXIT_OK, {"theorem": tid, "bounds": bounds}, summary
 
 
 def _cmd_kpartite(args):
@@ -226,8 +224,7 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
                             "(results are thread-count independent)")
 
     def z_cache(p):  # only the verbs that read z values
-        p.add_argument("--z-cache", default=os.environ.get(ZCACHE_ENV),
-                       help=f"z-table cache file (default ${ZCACHE_ENV})")
+        p.add_argument("--z-cache", help="z-table cache file")
 
     if p := add("count", "count a pattern in Q_n or in a subgraph file", _cmd_count):
         p.add_argument("--n", type=int, required=True)

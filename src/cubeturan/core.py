@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BadChar,
@@ -43,6 +43,9 @@ from .errors import (
     NoStars,
     ParseError,
 )
+
+if TYPE_CHECKING:  # fractions costs start-up time, and no value here needs it
+    from fractions import Fraction
 
 STAR = "*"
 ALPHABET = frozenset("01*")
@@ -73,6 +76,11 @@ def check_dimension(n: int, cap: int = MAX_MATERIALIZED_N) -> None:
 def check_closed_form_dimension(n: int) -> None:
     if n > MAX_CLOSED_FORM_N:
         raise DimensionTooLarge(f"n={n} exceeds the closed-form cap {MAX_CLOSED_FORM_N}")
+
+
+def fraction_json(value: Fraction) -> dict:
+    """The one JSON form of an exact fraction: numerator and denominator as decimal strings."""
+    return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
 def parse_cells(text: str, n: int) -> tuple[int, int]:

@@ -19,6 +19,7 @@ from .core import (
     MAX_WHOLE_CUBE_N,
     Subgraph,
     check_closed_form_dimension,
+    fraction_json,
     full_cube,
     iter_subcubes,
     subcube_template,
@@ -232,7 +233,7 @@ class CountReport:
             "pattern": self.pattern,
             "count": str(self.count),
             "ambient_total": str(self.ambient_total),
-            "density": {"num": str(self.density.numerator), "den": str(self.density.denominator)},
+            "density": fraction_json(self.density),
             "method": self.method,
         }
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import bb_search_kernel
-from .core import Subgraph, edge_pair_masks, full_cube, iter_subcubes, subcube_edges
+from .core import Subgraph, edge_pair_masks, fraction_json, full_cube, iter_subcubes, subcube_edges
 from .counting import count_in_subgraph, enumerate_cycle_witnesses
 from .errors import BadRange, CubeError, DimensionTooLarge
 from .patterns import CYCLE, Pattern
@@ -36,7 +36,7 @@ class SearchResult:
         return {
             "value": str(self.value),
             "ambient_total": str(self.ambient_total),
-            "density": {"num": str(self.density.numerator), "den": str(self.density.denominator)},
+            "density": fraction_json(self.density),
             "nodes_explored": self.nodes_explored,
             "method": self.method,
             "witness_edges": self.witness.sorted_edges(),

@@ -1,9 +1,13 @@
+import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from cubeturan import cli
 from cubeturan.bounds import (
+    CATALOG,
     BoundValue,
     bound_sandwich_report,
     eval_bound,
@@ -114,6 +118,17 @@ def test_a6():
         eval_bound("A6", "upper", {"l": 2, "k": 10})
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_a6_refuses_its_negative_range(k, capsys):
+    # 1 - 16/(k^2 - 2k) is -13/3, -1 and -1/15 here: a density bound that says nothing
+    with pytest.raises(BadRange, match=r"^A6 needs k\^2 - 2k >= 4\*C\(l\+2,3\), got l=2, k="):
+        eval_bound("A6", "lower", {"l": 2, "k": k})
+    assert cli.main(["bounds", "--theorem", "a6", "--l", "2", "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"] == "BadRange"
+    assert eval_bound("A6", "lower", {"l": 2, "k": 6}).value == Fraction(1, 3)
+
+
 def test_a7_improves_t3_by_four_thirds_power():
     z = {(4, 4): 648, (5, 5): 47616}
     for ell in (4, 5):
@@ -168,3 +183,37 @@ def test_parity_packing_meets_t2_lower_bound(n):
     g = parity_q2_packing(n)
     measured = Fraction(count_copies_qk(g, 2), closed_count_qk(n, 2))
     assert measured >= eval_bound("T2", "lower", {"n": n}).value
+
+
+#: n, k and l over -1..6: every range of every row is refused somewhere here
+PARAM_GRID = [dict(zip("nkl", values)) for values in itertools.product(range(-1, 7), repeat=3)]
+
+
+@pytest.mark.parametrize("tid", sorted(CATALOG))
+def test_each_range_of_a_row_refuses_with_its_id_and_condition(tid):
+    row, z = CATALOG[tid], ZTable()
+    conditions = {side: [text for text, _ in row.ranges + getattr(row, side).ranges]
+                  for side in row.sides}
+    refused = set()
+    for side, params in itertools.product(row.sides, PARAM_GRID):
+        try:
+            eval_bound(tid, side, params, z=z)
+        except BadRange as exc:
+            named = [text for text in conditions[side]
+                     if str(exc).startswith(f"{tid} needs {text}, got ")]
+            assert len(named) == 1, str(exc)
+            assert all(f"{name}={params[name]}" in str(exc) for name in row.needs), str(exc)
+            refused.add(named[0])
+    assert refused == {text for texts in conditions.values() for text in texts}
+
+
+@pytest.mark.parametrize("tid", sorted(CATALOG))
+def test_bounds_prints_exactly_the_sides_a_row_defines(tid, capsys):
+    row = CATALOG[tid]
+    argv = ["bounds", "--theorem", tid.lower(), "--n", "10", "--k", "11", "--l", "4"]
+    assert cli.main(argv) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["theorem"] == tid
+    assert [b["side"] for b in blob["bounds"]] == [
+        side for side in ("lower", "upper") if getattr(row, side) is not None]
+    assert all(b["value"] is not None or b["unresolved"] for b in blob["bounds"])

@@ -124,6 +124,14 @@ def test_zl_and_zwords(tmp_path):
     assert blob["words"] == [[1, 2, 1, 2], [2, 1, 2, 1]]
 
 
+def test_the_z_cache_is_a_file_only_when_the_option_names_it(tmp_path):
+    cache = tmp_path / "z.cache"
+    proc = subprocess.run(CMD + ["zl", "--l", "4"], capture_output=True, text=True,
+                          env={**os.environ, "CUBETURAN_ZCACHE": str(cache)})
+    assert proc.returncode == 0 and json.loads(proc.stdout)["value"] == "648"
+    assert not cache.exists() and list(tmp_path.iterdir()) == []
+
+
 def test_bounds_verbs():
     proc = run_cli("bounds", "--theorem", "t6")
     assert proc.returncode == 0
@@ -311,6 +319,9 @@ def test_zl_has_no_allow_small_option():
                                   # past math.factorial's range: refused before l! is built
                                   ("zl", "--l", str(2**63)),
                                   ("bounds", "--theorem", "t3", "--l", str(2**63)),
+                                  # z_{l,l} is read before 3^(l+1) or (l-1)! is built
+                                  ("bounds", "--theorem", "a7", "--l", str(2**63)),
+                                  ("bounds", "--theorem", "t5", "--l", str(2**63), "--k", "3"),
                                   ("zwords", "--l", str(2**63), "--count-only")])
 def test_word_count_refuses_huge_l_with_exit_4(argv):
     proc = run_cli(*argv)

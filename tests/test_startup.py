@@ -61,6 +61,12 @@ def test_count_starts_the_thread_pool_only_with_threads(tmp_path, threads, pool)
     assert ("concurrent.futures" in loaded) == pool
 
 
+def test_an_export_loads_its_home_module_alone():
+    loaded = loaded_by("from cubeturan import z_kl")
+    assert "cubeturan.zwords" in loaded
+    assert not loaded & {"cubeturan.core", "cubeturan.counting"}
+
+
 def test_submodules_still_import_from_the_package():
     loaded = loaded_by("import cubeturan\nfrom cubeturan import counting\n"
                        "assert counting.__name__ == 'cubeturan.counting'")

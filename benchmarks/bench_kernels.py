@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled cycle kernel against its pure-Python twin.
+"""Benchmark the compiled kernels against their pure-Python twins: the cycle
+kernels, and the edge-file reader and writer on Q_12 and conder(16).
 
 Run from the repository root after `python setup.py build_ext --inplace`:
 
@@ -9,6 +10,7 @@ Each workload is run on both backends; results must agree exactly.
 """
 
 import time
+import zlib
 
 from cubeturan.core import full_cube
 from cubeturan.constructions import conder_graph
@@ -18,6 +20,12 @@ try:
     from cubeturan._kernels import _cycles_c
 except ImportError:
     _cycles_c = None
+
+
+#: (name, graph, body of its saved file) for Q_12 and conder(16), built at
+#: import so that no backend's row pays for them
+EDGE_FILES = [(name, g, _cycles_py.write_edges_kernel(g.n, g.masks))
+              for name, g in (("Q_12", full_cube(12)), ("conder(16)", conder_graph(16)))]
 
 
 def workloads():
@@ -30,6 +38,11 @@ def workloads():
     yield "count C_10 in Q_5", lambda k: k.count_cycles_kernel(q5, 10)
     yield "count C_8 in conder(8)", lambda k: k.count_cycles_kernel(c8, 8)
     yield "prove conder(8) C_6-free", lambda k: k.find_cycle_kernel(c8, 6)[0]
+    for name, g, body in EDGE_FILES:
+        # short, exact-enough summaries: the rows are compared and stored as JSON
+        yield f"save {name}", lambda k, g=g: zlib.crc32(k.write_edges_kernel(g.n, g.masks))
+        yield f"load {name}", lambda k, g=g, body=body: hash(
+            frozenset(k.read_edges_kernel(body, g.n).items()))
 
 
 def run(reps: int = 3) -> None:

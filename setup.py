@@ -1,7 +1,8 @@
 """Build script: compiles the optional kernels.
 
 `kernels.c` is one translation unit of plain C with no Python headers: the
-cycle DFS, the branch-and-bound of the extremal search and the z word count.
+cycle DFS, the branch-and-bound of the extremal search, the z word count and
+the edge-file reader and writer.
 It is built as a shared library next to the package's modules and loaded
 with ctypes. The package works without it (the pure-Python twins are selected
 at import time), so a missing or failing C compiler, or one without

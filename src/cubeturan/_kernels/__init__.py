@@ -1,9 +1,11 @@
 """Backend selection for the kernels, made once at import.
 
-Every kernel has a C function in kernels.c, a ctypes binding in _cycles_c and
-a pure-Python twin of the same name and signature in _cycles_py. The C
-bindings are selected; _cycles_py is selected instead when CUBETURAN_PURE=1
-(used by the benchmark and tests) or the library is missing or will not load.
+Every kernel (the cycle count and search, the branch-and-bound, the word
+count, and the edge-file reader and writer) has a C function in kernels.c, a
+ctypes binding in _cycles_c and a pure-Python twin of the same name and
+signature in _cycles_py. The C bindings are selected; _cycles_py is selected
+instead when CUBETURAN_PURE=1 (used by the benchmark and tests) or the library
+is missing or will not load.
 """
 
 import os
@@ -22,6 +24,8 @@ count_cycles_kernel = _selected.count_cycles_kernel
 find_cycle_kernel = _selected.find_cycle_kernel
 bb_search_kernel = _selected.bb_search_kernel
 count_words_kernel = _selected.count_words_kernel
+read_edges_kernel = _selected.read_edges_kernel
+write_edges_kernel = _selected.write_edges_kernel
 
 
 def backend_name() -> str:

@@ -1,8 +1,8 @@
 """ctypes binding of the compiled kernels in kernels.c: the cycle DFS, the
-branch-and-bound and the z word count.
+branch-and-bound, the z word count and the edge-file reader and writer.
 
 Importing raises ImportError when the library is not built, does not load or
-lacks any of the three symbols, so all kernels fall back to their pure twins
+lacks any of the five symbols, so all kernels fall back to their pure twins
 together.
 ctypes releases the interpreter lock around every call, so threads counting
 disjoint start residues run the cycle kernel in parallel.
@@ -10,6 +10,7 @@ disjoint start residues run the cycle kernel in parallel.
 
 import ctypes
 import os
+from array import array
 from importlib.machinery import EXTENSION_SUFFIXES
 
 from ._cycles_py import budget_stop
@@ -22,13 +23,13 @@ def _load():
         if os.path.exists(path):
             try:
                 lib = ctypes.CDLL(path)
-                return lib.cycle_dfs, lib.bb_search, lib.count_words
+                return lib.cycle_dfs, lib.bb_search, lib.count_words, lib.read_edges, lib.write_edges
             except (OSError, AttributeError) as exc:
                 raise ImportError(f"cannot load {path}: {exc}") from exc
     raise ImportError("compiled kernels not built")
 
 
-_dfs, _bb, _words = _load()
+_dfs, _bb, _words, _read, _write = _load()
 _dfs.restype = ctypes.c_longlong
 _dfs.argtypes = (
     ctypes.POINTER(ctypes.c_uint32), ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
@@ -43,6 +44,12 @@ _bb.argtypes = (
 )
 _words.restype = ctypes.c_longlong
 _words.argtypes = (ctypes.c_int, ctypes.c_int, ctypes.POINTER(ctypes.c_ubyte))
+_read.restype = ctypes.c_longlong
+_read.argtypes = (ctypes.c_char_p, ctypes.c_longlong, ctypes.c_int,
+                  ctypes.POINTER(ctypes.c_uint32), ctypes.POINTER(ctypes.c_uint32))
+_write.restype = ctypes.c_longlong
+_write.argtypes = (ctypes.c_int, ctypes.POINTER(ctypes.c_uint32), ctypes.POINTER(ctypes.c_uint32),
+                   ctypes.c_longlong, ctypes.c_char_p, ctypes.c_longlong)
 
 MAX_BB_EDGES = 128
 MAX_WORDS_K = 16  # the seen table has 2^k bytes
@@ -106,3 +113,25 @@ def count_words_kernel(k, ell):
     if not 1 <= k <= MAX_WORDS_K or not 2 <= ell <= MAX_WORDS_L:
         raise ValueError(f"bad kernel call: k={k} (1..{MAX_WORDS_K}), l={ell} (2..{MAX_WORDS_L})")
     return _words(k, ell, (ctypes.c_ubyte * (1 << k))())
+
+
+def read_edges_kernel(body, n):
+    """The {vertex: direction mask} of an edge-file body as save_subgraph writes
+    it, or None for any other body, which the pure twin then reads."""
+    cap = 2 * min(len(body) // (n + 1), n << (n - 1))  # Q_n has n * 2^(n-1) edges
+    verts, masks = (ctypes.c_uint32 * cap)(), (ctypes.c_uint32 * cap)()
+    count = _read(body, len(body), n, verts, masks)
+    if count == -2:
+        raise MemoryError("read_edges could not sort the edges")
+    return dict(zip(verts[:count], masks[:count])) if count >= 0 else None
+
+
+def write_edges_kernel(n, masks):
+    """The sorted edge lines of _cycles_py.write_edges_kernel."""
+    verts, bits = array("I", masks), array("I", masks.values())
+    args = (n, (ctypes.c_uint32 * len(verts)).from_buffer(verts),
+            (ctypes.c_uint32 * len(bits)).from_buffer(bits), len(verts))
+    out = ctypes.create_string_buffer(_write(*args, None, 0))
+    if _write(*args, out, len(out)) < 0:
+        raise MemoryError("write_edges could not sort the edges")
+    return out.raw

@@ -1,6 +1,7 @@
 """Pure-Python twins of the compiled kernels in kernels.c: the cycle DFS, the
-branch-and-bound and the z word count. Each has the name and signature of its
-binding in _cycles_c and the contract stated here.
+branch-and-bound, the z word count and the edge-file reader and writer. Each
+has the name and signature of its binding in _cycles_c and the contract stated
+here.
 
 The cycle kernels work on a Subgraph `g`:
 
@@ -24,6 +25,12 @@ values, kept sets, node counts and budget stops agree across backends.
 
 `count_words_kernel` counts the words that zwords.count_canonical_words
 defines; that function holds the caller-facing refusal.
+
+`read_edges_kernel` and `write_edges_kernel` hand over to the per-line reader
+and the writer in core, which keeps star text in one module. The compiled
+reader reads only bodies as save_subgraph writes them and returns None for any
+other, which core then gives to the per-line reader, so every file loads to
+the same Subgraph, or fails with the same error, on either backend.
 """
 
 from __future__ import annotations
@@ -223,3 +230,19 @@ def count_words_kernel(k, ell):
         return total
 
     return rec(2 * ell, 0, 0)
+
+
+def read_edges_kernel(body, n):
+    """The {vertex: direction mask} of the edges in an edge-file body (the
+    bytes after the header line), or the ParseError of its first bad line."""
+    from ..core import read_edge_lines
+
+    return read_edge_lines(body, n)
+
+
+def write_edges_kernel(n, masks):
+    """The edges of `masks`, as star strings in lexicographic order, one line
+    each, in one bytes buffer."""
+    from ..core import write_edge_lines
+
+    return write_edge_lines(n, masks)

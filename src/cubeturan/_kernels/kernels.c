@@ -1,5 +1,6 @@
 /* Compiled kernels: the canonical cycle DFS on hypercube direction masks, the
- * branch-and-bound of the exact extremal search and the z word count.
+ * branch-and-bound of the exact extremal search, the z word count, and the
+ * reader and writer of edge-file bodies.
  *
  * One library, loaded with ctypes by _cycles_c.py. The pure twins in
  * _cycles_py.py, under the names of the bindings, state the contracts both
@@ -237,4 +238,148 @@ long long count_words(int k, int ell, unsigned char *seen)
     long long total = words(k, 2 * ell, 0, 0, seen);
     seen[0] = 0;
     return total;
+}
+
+/* Sorts count keys below 2^bits ascending: an LSD radix sort, one pass per 8
+ * bits, through a scratch copy. Returns 0, or -1 when out of memory. */
+static int sort_keys(uint64_t *keys, size_t count, int bits)
+{
+    uint64_t *tmp = malloc((count ? count : 1) * sizeof *tmp);
+    if (!tmp)
+        return -1;
+    uint64_t *src = keys, *dst = tmp;
+    for (int shift = 0; shift < bits; shift += 8) {
+        size_t at[257] = {0};
+        for (size_t i = 0; i < count; i++)
+            ++at[(src[i] >> shift & 255) + 1];
+        for (int d = 0; d < 256; d++)
+            at[d + 1] += at[d];
+        for (size_t i = 0; i < count; i++)
+            dst[at[src[i] >> shift & 255]++] = src[i];
+        uint64_t *t = src;
+        src = dst;
+        dst = t;
+    }
+    if (src != keys)
+        for (size_t i = 0; i < count; i++)
+            keys[i] = src[i];
+    free(tmp);
+    return 0;
+}
+
+/* read_edges: the (vertex, direction mask) pairs of an edge-file body (the
+ * text after the header line) as save_subgraph writes it: leading '#' lines of
+ * ASCII bytes other than '\r', then lines of exactly n bytes over "01*" with
+ * one star, each ending in '\n', and no edge twice. Position p is byte p of a
+ * line and bit p of a vertex. verts and masks hold two entries (the
+ * endpoints) per line, up to the n * 2^(n-1) edges of Q_n, past which some
+ * edge is given twice; the pairs go there in ascending vertex order.
+ *
+ * Returns the number of pairs; -1 for any other body, which the caller's
+ * per-line reader then reads and refuses with its errors; -2 when out of
+ * memory. Each edge gives a key (endpoint << 5 | position) per endpoint, and
+ * after the sort an edge given twice is a key repeated.
+ */
+long long read_edges(const char *body, long long len, int n, uint32_t *verts, uint32_t *masks)
+{
+    long long i = 0;
+    while (i < len && body[i] == '#') {
+        for (; i < len && body[i] != '\n'; i++)
+            if ((unsigned char)body[i] >= 0x80 || body[i] == '\r')
+                return -1;
+        if (i++ == len)
+            return -1;
+    }
+    if (n < 1 || n > 31 || (len - i) % (n + 1))
+        return -1;
+    size_t ne = (size_t)((len - i) / (n + 1));
+    if (ne > (size_t)n << (n - 1))
+        return -1;
+    uint64_t *keys = malloc((ne ? 2 * ne : 1) * sizeof *keys);
+    if (!keys)
+        return -2;
+    for (size_t e = 0; e < ne; e++) {
+        const char *line = body + i + e * (size_t)(n + 1);
+        uint64_t v = 0;
+        int star = -1;
+        for (int p = 0; p < n; p++) {
+            char c = line[p];
+            if (c == '1')
+                v |= (uint64_t)1 << p;
+            else if (c == '*' && star < 0)
+                star = p;
+            else if (c != '0')
+                star = n;  /* a second star or another byte: refused below */
+        }
+        if (star < 0 || star == n || line[n] != '\n') {
+            free(keys);
+            return -1;
+        }
+        keys[2 * e] = v << 5 | (uint64_t)star;
+        keys[2 * e + 1] = (v | (uint64_t)1 << star) << 5 | (uint64_t)star;
+    }
+    if (sort_keys(keys, 2 * ne, n + 5)) {
+        free(keys);
+        return -2;
+    }
+    long long count = 0;
+    for (size_t j = 0; j < 2 * ne; j++) {
+        if (j && keys[j] == keys[j - 1]) {
+            free(keys);
+            return -1;
+        }
+        uint32_t v = (uint32_t)(keys[j] >> 5), bit = (uint32_t)1 << (keys[j] & 31);
+        if (count && verts[count - 1] == v) {
+            masks[count - 1] |= bit;
+        } else {
+            verts[count] = v;
+            masks[count++] = bit;
+        }
+    }
+    free(keys);
+    return count;
+}
+
+/* write_edges: the edges of nv (vertex, direction mask) pairs, each listed by
+ * both endpoints, as lines of n bytes over "01*" and '\n', in lexicographic
+ * order ('*' < '0' < '1'). An edge is the key with digit 0, 1 or 2 ('*', '0',
+ * '1') for position p at bits 2(n-1-p), so keys sort as their lines do.
+ *
+ * Returns the number of bytes the lines take, and writes them to out only
+ * when cap is at least that; -1 when out of memory.
+ */
+long long write_edges(int n, const uint32_t *verts, const uint32_t *masks, long long nv,
+                      char *out, long long cap)
+{
+    size_t ne = 0;
+    for (long long i = 0; i < nv; i++)
+        ne += (size_t)__builtin_popcount(masks[i] & ~verts[i]);
+    long long size = (long long)ne * (n + 1);
+    if (!out || cap < size)
+        return size;
+    uint64_t *keys = malloc((ne ? ne : 1) * sizeof *keys);
+    if (!keys)
+        return -1;
+    uint64_t zeros = 0;
+    for (int p = 0; p < n; p++)
+        zeros |= (uint64_t)1 << 2 * (n - 1 - p);
+    size_t k = 0;
+    for (long long i = 0; i < nv; i++) {
+        uint64_t key = zeros;
+        for (uint32_t bits = verts[i]; bits; bits &= bits - 1)
+            key += (uint64_t)1 << 2 * (n - 1 - __builtin_ctz(bits));
+        for (uint32_t up = masks[i] & ~verts[i]; up; up &= up - 1)
+            keys[k++] = key - ((uint64_t)1 << 2 * (n - 1 - __builtin_ctz(up)));
+    }
+    if (sort_keys(keys, ne, 2 * n)) {
+        free(keys);
+        return -1;
+    }
+    for (size_t e = 0; e < ne; e++) {
+        for (int p = 0; p < n; p++)
+            *out++ = "*01"[keys[e] >> 2 * (n - 1 - p) & 3];
+        *out++ = '\n';
+    }
+    free(keys);
+    return size;
 }

@@ -22,17 +22,26 @@ Conventions (used everywhere in the package):
   only at the boundary: files, ``Subgraph(n, edges)``,
   ``Subgraph.sorted_edges()`` and witnesses. ``parse_cells`` is their one
   reader and ``edge_pair`` holds the one-star rule of an edge.
-  ``format_cells`` writes them, except that ``Subgraph.sorted_edges`` splices
-  the star into each vertex's bits itself, which saves conder(16) in 0.167 s
-  against 0.200 s through ``format_cells``.
+  ``format_cells`` writes them;
+* edge files are read and written whole, by the selected backend's edge
+  kernels: ``read_edges_kernel`` turns a body (the text after the header line)
+  into masks, and ``write_edges_kernel`` turns masks into the sorted edge lines
+  that ``save_subgraph`` writes and ``Subgraph.sorted_edges`` splits. Their
+  pure twins are ``read_edge_lines``, the per-line reader that every error
+  comes from, and ``write_edge_lines``, which splices the star into each
+  vertex's bits rather than calling ``format_cells``, for speed. The compiled
+  reader reads only bodies as ``save_subgraph`` writes them and returns None
+  for any other, which ``read_edge_lines`` then reads.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from ._kernels import read_edges_kernel, write_edges_kernel
 from .errors import (
     BadChar,
     BadLength,
@@ -97,7 +106,8 @@ def parse_cells(text: str, n: int) -> tuple[int, int]:
 
 def format_cells(n: int, stars: int, base: int) -> str:
     """The word of length n naming (star mask, base); star text is written here,
-    and only `Subgraph.sorted_edges` splices edge words itself, for save speed."""
+    and only the edge-file writers (`write_edge_lines` and its compiled twin)
+    splice edge words themselves, for save speed."""
     cells = bin(base | 1 << n)[:2:-1]  # drops the "0b1" that fixes the length
     while stars:
         p = (stars & -stars).bit_length() - 1
@@ -230,18 +240,8 @@ class Subgraph:
         return f"Subgraph(n={self.n}, edge_count={self.edge_count}, name={self.name!r})"
 
     def sorted_edges(self) -> list[str]:
-        """The edges as star strings, in lexicographic order. The star is spliced
-        into each vertex's bits here rather than by format_cells, for save speed."""
-        keys = []
-        for v, m in self.masks.items():
-            up = m & ~v
-            if up:
-                bits = vertex_to_bits(v, self.n)
-                while up:
-                    p = (up & -up).bit_length() - 1
-                    keys.append(bits[:p] + STAR + bits[p + 1:])
-                    up &= up - 1
-        return sorted(keys)
+        """The edges as star strings, in lexicographic order."""
+        return write_edges_kernel(self.n, self.masks).decode().split()
 
 
 def full_cube(n: int) -> Subgraph:
@@ -403,37 +403,40 @@ def adjacency_lists(g: Subgraph) -> list[list[int]]:
     return adj
 
 
+def write_edge_lines(n: int, masks: dict[int, int]) -> bytes:
+    """The edges of `masks` as star strings in lexicographic order, each line
+    ending in a newline, in one buffer: the pure twin of the compiled writer.
+    The star is spliced into each vertex's bits here rather than by
+    format_cells, for save speed."""
+    keys = []
+    for v, m in masks.items():
+        up = m & ~v
+        if up:
+            bits = vertex_to_bits(v, n)
+            while up:
+                p = (up & -up).bit_length() - 1
+                keys.append(bits[:p] + STAR + bits[p + 1:])
+                up &= up - 1
+    keys.sort()
+    keys.append("")
+    return "\n".join(keys).encode()
+
+
 def save_subgraph(g: Subgraph, path) -> None:
     """Write the canonical text format: header line, then edges in sorted order."""
-    lines = [f"{FILE_MAGIC} n={g.n}"]
-    if g.name:
-        lines.append(f"# {g.name}")
-    lines.extend(g.sorted_edges())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = f"{FILE_MAGIC} n={g.n}\n" + (f"# {g.name}\n" if g.name else "")
+    body = write_edges_kernel(g.n, g.masks)
+    with open(path, "wb") as fh:
+        fh.write(head.encode())
+        fh.write(body)
 
 
-def load_subgraph(path) -> Subgraph:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text at byte {exc.start}") from None
-    if not raw or not raw[0].startswith(FILE_MAGIC):
-        raise ParseError(f"missing `{FILE_MAGIC}` header", line=1)
-    header = raw[0][len(FILE_MAGIC):].strip()
-    if not header.startswith("n="):
-        raise ParseError("header must declare n=<dimension>", line=1)
-    digits = header[2:]
-    try:
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(digits)  # int() alone also reads "1_0", "+3" and non-ASCII digits
-        n = int(digits)  # and past 4300 digits it refuses too
-    except ValueError:
-        raise ParseError(f"bad dimension {digits!r}", line=1) from None
-    check_dimension(n)
+def read_edge_lines(body: bytes, n: int) -> dict[int, int]:
+    """{vertex: direction mask} of an edge-file body (UTF-8 text after the
+    header line) read line by line: blank and `#` lines are skipped, and the
+    first bad or repeated edge raises its ParseError, numbered from line 2."""
     masks: dict[int, int] = {}
-    for lineno, line in enumerate(raw[1:], start=2):
+    for lineno, line in enumerate(body.decode().split("\n"), start=2):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -446,4 +449,37 @@ def load_subgraph(path) -> Subgraph:
             raise DuplicateEdge(f"duplicate edge {text!r}", line=lineno)
         masks[u] = mask | bit
         masks[u | bit] = masks.get(u | bit, 0) | bit
+    return masks
+
+
+def load_subgraph(path) -> Subgraph:
+    """Read the text format: the header, then the body through the edge
+    kernels. The bytes are read as text mode would read them (UTF-8, with
+    universal newlines), so every file gives the same Subgraph or error on
+    either backend."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii() or b"\r" in data:  # bytes that text mode refuses or changes
+        try:
+            data = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read().encode()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text at byte {exc.start}") from None
+    head, _, body = data.partition(b"\n")
+    header = head.decode()
+    if not header.startswith(FILE_MAGIC):
+        raise ParseError(f"missing `{FILE_MAGIC}` header", line=1)
+    header = header[len(FILE_MAGIC):]
+    if not (header[:1].isspace() and header.strip().startswith("n=")):
+        raise ParseError("header must declare n=<dimension>", line=1)
+    digits = header.strip()[2:]
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(digits)  # int() alone also reads "1_0", "+3" and non-ASCII digits
+        n = int(digits)  # and past 4300 digits it refuses too
+    except ValueError:
+        raise ParseError(f"bad dimension {digits!r}", line=1) from None
+    check_dimension(n)
+    masks = read_edges_kernel(body, n)
+    if masks is None:  # a body not as save_subgraph writes it
+        masks = read_edge_lines(body, n)
     return Subgraph(n, masks=masks)

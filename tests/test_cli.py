@@ -386,6 +386,7 @@ def test_nonpositive_dimensions_and_negative_budgets_exit_2(argv):
     ("zl", "--l", "5", "--z-cache", "/nonexistent/d/z.cache"),  # no directory to write it in
     ("count", "--n", "3", "--pattern", "c4", "--out", "/nonexistent/d/r.json"),  # nor the report
     *BAD_RANGE_ARGV,
+    ("verify", "--forbid", "q2", "cube v1n=2"),  # no space before n=
 ])
 def test_hostile_inputs_fail_with_a_structured_error(argv, tmp_path):
     if argv[-1].startswith("cube v1"):  # a file holding just this header

@@ -11,8 +11,10 @@ from helpers import random_subgraph
 import cubeturan
 from cubeturan import _kernels
 from cubeturan._kernels import _cycles_py, backend_name
+from cubeturan import core
+from cubeturan.constructions import conder_graph
 from cubeturan.core import full_cube
-from cubeturan.errors import BudgetExceeded
+from cubeturan.errors import BudgetExceeded, CubeError
 from cubeturan.patterns import parse_pattern
 from cubeturan.search import search_instance
 from cubeturan.zwords import z_positive
@@ -75,7 +77,7 @@ def test_some_backend_is_active():
 def test_every_kernel_comes_from_the_selected_module():
     module = {"c": _cycles_c, "python": _cycles_py}[backend_name()]
     for name in ("count_cycles_kernel", "find_cycle_kernel", "bb_search_kernel",
-                 "count_words_kernel"):
+                 "count_words_kernel", "read_edges_kernel", "write_edges_kernel"):
         assert getattr(_kernels, name) is getattr(module, name)
 
 
@@ -107,6 +109,18 @@ def test_loader_falls_back_when_the_library_lacks_the_word_count():
                "            raise AttributeError(name)\n"
                "        return super().__getattr__(name)\n"
                "ctypes.CDLL = NoWords\n")
+    assert _backend_in_child(PACKAGE.parent, pure=False, prelude=prelude) == "python"
+
+
+@needs_compiled
+def test_loader_falls_back_when_the_library_lacks_the_edge_reader():
+    prelude = ("import ctypes\n"
+               "class NoReader(ctypes.CDLL):\n"
+               "    def __getattr__(self, name):\n"
+               "        if name == 'read_edges':\n"
+               "            raise AttributeError(name)\n"
+               "        return super().__getattr__(name)\n"
+               "ctypes.CDLL = NoReader\n")
     assert _backend_in_child(PACKAGE.parent, pure=False, prelude=prelude) == "python"
 
 
@@ -229,3 +243,102 @@ def test_compiled_word_count_refuses_a_call_outside_its_table(k, ell):
     # the seen table has 2^k bytes, capped at 2^16; there is no C_2
     with pytest.raises(ValueError):
         _cycles_c.count_words_kernel(k, ell)
+
+
+Q3_BODY = "".join(f"{e}\n" for e in full_cube(3).sorted_edges())
+
+#: edge files by name: those as save_subgraph writes them, which the compiled
+#: reader reads itself, then every other kind, which it hands to the per-line reader
+CANONICAL_FILES = {
+    "named": b"cube v1 n=3\n# Q_3\n" + Q3_BODY.encode(),
+    "unnamed": b"cube v1 n=3\n" + Q3_BODY.encode(),
+    "header-only": b"cube v1 n=4\n",
+    "two-comments": b"cube v1 n=2\n# a\n#\n*0\n",
+    "one-edge-in-q30": ("cube v1 n=30\n" + "0" * 12 + "*" + "1" * 17 + "\n").encode(),
+}
+OTHER_FILES = {
+    "comment-mid-file": b"cube v1 n=3\n0*0\n# note\n*00\n",
+    "blank-mid-file": b"cube v1 n=3\n0*0\n\n*00\n",
+    "indented-comment": b"cube v1 n=3\n  # note\n*00\n",
+    "crlf": b"cube v1 n=3\r\n0*0\r\n*00\r\n",
+    "crlf-body-only": b"cube v1 n=3\n0*0\r\n*00\r\n",
+    "lone-cr": b"cube v1 n=3\n0*0\r*00\n",
+    "trailing-spaces": b"cube v1 n=3  \n0*0 \n*00\t\n",
+    "no-final-newline": b"cube v1 n=3\n0*0\n*00",
+    "duplicate-edge": b"cube v1 n=3\n0*0\n*00\n0*0\n",
+    "duplicate-far-apart": b"cube v1 n=3\n*00\n0*0\n1*1\n*00\n",
+    "more-lines-than-q3-has-edges": b"cube v1 n=3\n" + (Q3_BODY + "1*1\n").encode(),
+    "two-stars": b"cube v1 n=3\n0*0\n**0\n",
+    "no-star": b"cube v1 n=3\n0*0\n010\n",
+    "wrong-length": b"cube v1 n=3\n0*0\n0*01\n",
+    "short-line": b"cube v1 n=3\n0*\n*00\n",
+    "bad-char": b"cube v1 n=3\n0*0\n0x*\n",
+    "non-utf8-edge": b"cube v1 n=3\n0*0\n\xff0*\n",
+    "non-utf8-comment": b"cube v1 n=3\n# \xc3\n0*0\n",
+    "utf8-comment": "cube v1 n=3\n# caf\u00e9\n0*0\n".encode(),
+    "non-utf8-header": b"cube v1 n=\xff\n0*0\n",
+    "bad-header-then-non-utf8": b"cube v2 n=3\n\xff\n",
+    "no-space-after-magic": b"cube v1n=2\n*0\n",
+    "dimension-31": b"cube v1 n=31\n",
+    "empty": b"",
+}
+
+
+def _load_outcome(monkeypatch, kernels, path):
+    """The Subgraph's (n, masks, edge_count) that loading gives, or its error's
+    class, message and line, with the edge reader of `kernels`."""
+    monkeypatch.setattr(core, "read_edges_kernel", kernels.read_edges_kernel)
+    try:
+        g = core.load_subgraph(path)
+    except CubeError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return g.n, dict(sorted(g.masks.items())), g.edge_count
+
+
+@needs_compiled
+@pytest.mark.parametrize("name", [*CANONICAL_FILES, *OTHER_FILES])
+def test_edge_files_load_alike_on_both_backends(name, tmp_path, monkeypatch):
+    data = {**CANONICAL_FILES, **OTHER_FILES}[name]
+    path = tmp_path / "g.cube"
+    path.write_bytes(data)
+    pure = _load_outcome(monkeypatch, _cycles_py, path)
+    assert _load_outcome(monkeypatch, _cycles_c, path) == pure
+    head, _, body = data.partition(b"\n")
+    if name in CANONICAL_FILES:  # read by the compiled reader itself
+        assert _cycles_c.read_edges_kernel(body, pure[0]) == pure[1]
+    elif head == b"cube v1 n=3":  # handed on to the per-line reader
+        assert _cycles_c.read_edges_kernel(body, 3) is None
+
+
+def _save_both(monkeypatch, g, tmp_path):
+    files = []
+    for kernels in (_cycles_py, _cycles_c):
+        monkeypatch.setattr(core, "write_edges_kernel", kernels.write_edges_kernel)
+        files.append(tmp_path / f"{kernels.__name__}.cube")
+        core.save_subgraph(g, files[-1])
+    return [f.read_bytes() for f in files]
+
+
+@needs_compiled
+def test_random_graphs_save_and_load_alike_on_both_backends(tmp_path, monkeypatch):
+    rng = random.Random(1913)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        g = random_subgraph(n, rng.random(), rng)
+        pure, fast = _save_both(monkeypatch, g, tmp_path)
+        assert fast == pure, g
+        path = tmp_path / "g.cube"
+        path.write_bytes(pure)
+        assert (_load_outcome(monkeypatch, _cycles_c, path)
+                == _load_outcome(monkeypatch, _cycles_py, path)
+                == (n, dict(sorted(g.masks.items())), g.edge_count))
+
+
+@needs_compiled
+def test_conder16_saves_alike_on_both_backends(tmp_path, monkeypatch):
+    g = conder_graph(16)
+    pure, fast = _save_both(monkeypatch, g, tmp_path)
+    assert fast == pure
+    assert pure.count(b"\n") == 2 + g.edge_count  # the header, the name, one line per edge
+    _, _, body = pure.partition(b"\n# " + g.name.encode() + b"\n")
+    assert _cycles_c.read_edges_kernel(body, 16) == g.masks
